@@ -188,12 +188,13 @@ func bestOf2(n int, mode netsim.RunMode, traced bool) testing.BenchmarkResult {
 	return a
 }
 
-// measureTopo prices the topology engine on a general graph with the
-// same ping workload: one uniform local-port message per node per round.
-// The topology is compiled once outside the timed loop — it is immutable
-// shared state, exactly how long-lived callers hold it — so the entry
-// measures delivery, not graph generation. workers follows topo.Config:
-// 1 is the single-lane schedule, 0 means GOMAXPROCS sharding.
+// measureTopo prices the pipeline on a general graph's port table with
+// the same ping workload: one uniform local-port message per node per
+// round. The topology is compiled once outside the timed loop — it is
+// immutable shared state, exactly how long-lived callers hold it — so
+// the entry measures delivery, not graph generation. workers follows
+// netsim.Config: 1 is the single-lane schedule, 0 means GOMAXPROCS
+// sharding.
 func measureTopo(family string, n int, modeName string, workers int) (Entry, error) {
 	tp, err := topo.ResolveTopology(family, n, 1)
 	if err != nil {
@@ -207,8 +208,8 @@ func measureTopo(family string, n int, modeName string, workers int) (Entry, err
 				for u := range machines {
 					machines[u] = &pingMachine{}
 				}
-				if _, err := topo.Run(topo.Config{
-					Topology: tp, Alpha: 1, Seed: uint64(i), MaxRounds: rounds, Workers: workers,
+				if _, err := netsim.Execute(netsim.Parallel, netsim.Config{
+					N: n, Ports: tp.Ports(), Alpha: 1, Seed: uint64(i), MaxRounds: rounds, Workers: workers,
 				}, machines, nil); err != nil {
 					b.Fatal(err)
 				}
@@ -263,7 +264,7 @@ func run(args []string, stdout io.Writer) error {
 	ratio := fs.Float64("ratio", 0, "min required parallel/sequential msgs/sec ratio (0 disables; skipped below 4 CPUs)")
 	ratioN := fs.Int("ratio-n", 65536, "node count at which the -ratio gate is evaluated")
 	allowCrossHost := fs.Bool("allow-cross-host", false, "gate against a baseline measured on a different host")
-	topology := fs.Bool("topology", false, "also measure the topology engine (cluster-d2 and wellconnected) at n=1024 and n=4096")
+	topology := fs.Bool("topology", false, "also measure the pipeline on port tables (cluster-d2 and wellconnected) at n=1024 and n=4096")
 	maxN := fs.Duration("maxn", 0, "doubling search: report the largest n whose full run fits this budget (0 disables)")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -5,8 +5,8 @@
 //
 // This is the library view of `fleetctl -sweep topo-matrix -spawn 3`:
 // each point names a graph family (JobSpec.Topology), the workers
-// resolve it with topo.ResolveTopology and execute on the topology
-// engine, and the merged report is bit-identical to an unsharded run.
+// resolve it with topo.ResolveTopology and execute on its compiled port
+// table, and the merged report is bit-identical to an unsharded run.
 package main
 
 import (

@@ -195,8 +195,9 @@ func RunD2Election(cfg D2Config, adv netsim.Adversary) (*Result, error) {
 	for u := range machines {
 		machines[u] = &d2Machine{n: cfg.N}
 	}
-	res, err := topo.Run(topo.Config{
-		Topology:  tp,
+	res, err := netsim.Execute(netsim.Parallel, netsim.Config{
+		N:         cfg.N,
+		Ports:     tp.Ports(),
 		Alpha:     cfg.Alpha,
 		Seed:      cfg.Seed,
 		MaxRounds: 4,

@@ -134,8 +134,9 @@ func RunWCElection(cfg WCConfig, adv netsim.Adversary) (*Result, error) {
 	for u := range machines {
 		machines[u] = &wcMachine{n: cfg.N, horizon: horizon}
 	}
-	res, err := topo.Run(topo.Config{
-		Topology:  tp,
+	res, err := netsim.Execute(netsim.Parallel, netsim.Config{
+		N:         cfg.N,
+		Ports:     tp.Ports(),
 		Alpha:     cfg.Alpha,
 		Seed:      cfg.Seed,
 		MaxRounds: horizon + 2,

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"sublinear/internal/fault"
+	"sublinear/internal/netsim"
 	"sublinear/internal/rng"
 )
 
@@ -143,13 +144,13 @@ func TestAgreementDeterministic(t *testing.T) {
 }
 
 func TestAgreementConcurrentEngineEquivalent(t *testing.T) {
-	mk := func(concurrent bool) *AgreementResult {
+	mk := func(mode netsim.RunMode) *AgreementResult {
 		src := rng.New(21)
 		adv := fault.Must(fault.NewRandomPlan(256, 64, 30, fault.DropHalf, src))
 		return agreeOnce(t, RunConfig{N: 256, Alpha: 0.5, Seed: 7, Adversary: adv,
-			Concurrent: concurrent}, randInputs(256, 7))
+			Mode: mode}, randInputs(256, 7))
 	}
-	if !reflect.DeepEqual(mk(false).Outputs, mk(true).Outputs) {
+	if !reflect.DeepEqual(mk(netsim.Sequential).Outputs, mk(netsim.Parallel).Outputs) {
 		t.Fatal("concurrent engine changed the outcome")
 	}
 }

@@ -3,41 +3,12 @@ package core
 import (
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
 	"sublinear/internal/fault"
-	"sublinear/internal/netsim"
 	"sublinear/internal/rng"
 )
-
-func TestElectionActorsModeEquivalent(t *testing.T) {
-	mk := func(mode netsim.RunMode) *ElectionResult {
-		src := rng.New(15)
-		adv := fault.Must(fault.NewRandomPlan(128, 32, 40, fault.DropHalf, src))
-		return electOnce(t, RunConfig{N: 128, Alpha: 0.75, Seed: 8, Adversary: adv, Mode: mode})
-	}
-	seq, act := mk(netsim.Sequential), mk(netsim.Actors)
-	if !reflect.DeepEqual(seq.Outputs, act.Outputs) {
-		t.Fatal("actors engine changed the election outcome")
-	}
-	if seq.Counters.Bits() != act.Counters.Bits() {
-		t.Fatal("actors engine changed accounting")
-	}
-}
-
-func TestAgreementActorsModeEquivalent(t *testing.T) {
-	inputs := randInputs(128, 9)
-	mk := func(mode netsim.RunMode) *AgreementResult {
-		src := rng.New(16)
-		adv := fault.Must(fault.NewRandomPlan(128, 32, 30, fault.DropHalf, src))
-		return agreeOnce(t, RunConfig{N: 128, Alpha: 0.75, Seed: 9, Adversary: adv, Mode: mode}, inputs)
-	}
-	if !reflect.DeepEqual(mk(netsim.Sequential).Outputs, mk(netsim.Actors).Outputs) {
-		t.Fatal("actors engine changed the agreement outcome")
-	}
-}
 
 // The paper's protocols are anonymous (KT0): protocol code must never
 // consult Env.ID or the KT1 helpers. This guard scans the package source

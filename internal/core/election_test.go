@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sublinear/internal/fault"
+	"sublinear/internal/netsim"
 	"sublinear/internal/rng"
 )
 
@@ -77,12 +78,12 @@ func TestElectionDeterministic(t *testing.T) {
 }
 
 func TestElectionConcurrentEngineEquivalent(t *testing.T) {
-	mk := func(concurrent bool) *ElectionResult {
+	mk := func(mode netsim.RunMode) *ElectionResult {
 		src := rng.New(5)
 		adv := fault.Must(fault.NewRandomPlan(128, 32, 40, fault.DropHalf, src))
-		return electOnce(t, RunConfig{N: 128, Alpha: 0.75, Seed: 4, Adversary: adv, Concurrent: concurrent})
+		return electOnce(t, RunConfig{N: 128, Alpha: 0.75, Seed: 4, Adversary: adv, Mode: mode})
 	}
-	seq, par := mk(false), mk(true)
+	seq, par := mk(netsim.Sequential), mk(netsim.Parallel)
 	if !reflect.DeepEqual(seq.Outputs, par.Outputs) {
 		t.Fatal("concurrent engine changed the outcome")
 	}

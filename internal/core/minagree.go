@@ -225,7 +225,7 @@ func RunMinAgreement(cfg RunConfig, values []uint64) (*MinAgreementResult, error
 		machines[u] = newMinAgreeMachine(d, values[u])
 	}
 	maxRounds := newMinAgreeMachine(d, 0).endRound
-	res, err := netsim.Execute(cfg.runMode(), cfg.engineConfig(maxRounds), machines, cfg.Adversary)
+	res, err := netsim.Execute(cfg.Mode, cfg.engineConfig(maxRounds), machines, cfg.Adversary)
 	if err != nil {
 		return nil, fmt.Errorf("min agreement run: %w", err)
 	}

@@ -30,12 +30,9 @@ type RunConfig struct {
 	// including the socket engine, which emits the identical event
 	// stream.
 	Tracer netsim.Tracer
-	// Concurrent runs node steps on parallel goroutines with a round
-	// barrier (identical semantics; exercised by tests and benches).
-	Concurrent bool
-	// Mode overrides Concurrent with an explicit netsim.RunMode
-	// (Sequential, Parallel — Actors is a compatibility alias for
-	// Parallel — or a registered engine like netsim.RealNet).
+	// Mode selects the engine: netsim.Sequential (the zero value),
+	// netsim.Parallel, or a registered engine like netsim.RealNet. All
+	// modes produce identical executions.
 	Mode netsim.RunMode
 	// CongestFactor overrides the per-message bit budget multiplier;
 	// zero selects 12, which admits the largest protocol payload
@@ -64,16 +61,6 @@ func (c RunConfig) engineConfig(maxRounds int) netsim.Config {
 		Record:        c.Record,
 		Tracer:        c.Tracer,
 	}
-}
-
-// runMode resolves the effective RunMode: an explicit Mode wins, and the
-// legacy Concurrent flag promotes the default Sequential to Parallel —
-// the same promotion the engine applied when the flag lived on it.
-func (c RunConfig) runMode() netsim.RunMode {
-	if c.Mode == netsim.Sequential && c.Concurrent {
-		return netsim.Parallel
-	}
-	return c.Mode
 }
 
 // ElectionResult is the outcome of one leader-election run.
@@ -107,7 +94,7 @@ func RunElection(cfg RunConfig) (*ElectionResult, error) {
 	for u := range machines {
 		machines[u] = newElectionMachine(d)
 	}
-	res, err := netsim.Execute(cfg.runMode(), cfg.engineConfig(electionRounds(d)), machines, cfg.Adversary)
+	res, err := netsim.Execute(cfg.Mode, cfg.engineConfig(electionRounds(d)), machines, cfg.Adversary)
 	if err != nil {
 		return nil, fmt.Errorf("election run: %w", err)
 	}
@@ -168,7 +155,7 @@ func RunAgreement(cfg RunConfig, inputs []int) (*AgreementResult, error) {
 		}
 		machines[u] = newAgreementMachine(d, inputs[u])
 	}
-	res, err := netsim.Execute(cfg.runMode(), cfg.engineConfig(agreementRounds(d, 0)), machines, cfg.Adversary)
+	res, err := netsim.Execute(cfg.Mode, cfg.engineConfig(agreementRounds(d, 0)), machines, cfg.Adversary)
 	if err != nil {
 		return nil, fmt.Errorf("agreement run: %w", err)
 	}

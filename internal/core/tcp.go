@@ -154,14 +154,12 @@ func RealnetSpec(system string, n int, alpha float64, seed uint64, pOne float64)
 // RunElection on the sequential simulator.
 func RunElectionOverTCP(cfg RunConfig) (*ElectionResult, error) {
 	cfg.Mode = netsim.RealNet
-	cfg.Concurrent = false
 	return RunElection(cfg)
 }
 
 // RunAgreementOverTCP is RunAgreement over real TCP loopback sockets.
 func RunAgreementOverTCP(cfg RunConfig, inputs []int) (*AgreementResult, error) {
 	cfg.Mode = netsim.RealNet
-	cfg.Concurrent = false
 	return RunAgreement(cfg, inputs)
 }
 
@@ -169,6 +167,5 @@ func RunAgreementOverTCP(cfg RunConfig, inputs []int) (*AgreementResult, error) 
 // sockets.
 func RunMinAgreementOverTCP(cfg RunConfig, values []uint64) (*MinAgreementResult, error) {
 	cfg.Mode = netsim.RealNet
-	cfg.Concurrent = false
 	return RunMinAgreement(cfg, values)
 }

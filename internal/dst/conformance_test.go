@@ -9,7 +9,6 @@ import (
 	"sublinear/internal/fault"
 	"sublinear/internal/netsim"
 	"sublinear/internal/rng"
-	"sublinear/internal/topo"
 )
 
 // runSummary is what cross-engine conformance compares: the execution
@@ -38,7 +37,7 @@ func baselineSummary(res *baseline.Result, err error) (runSummary, error) {
 // TestCrossEngineConformance locks in the harness's foundational
 // assumption: every protocol in the repo — the paper's three core
 // algorithms and all baselines — produces an identical digest, metric
-// totals, and outputs in all three engine modes, across seeds and
+// totals, and outputs in both engine modes, across seeds and
 // crash-round delivery policies.
 func TestCrossEngineConformance(t *testing.T) {
 	const n = 32
@@ -126,8 +125,7 @@ func TestCrossEngineConformance(t *testing.T) {
 	modes := []struct {
 		name string
 		mode netsim.RunMode
-	}{{"sequential", netsim.Sequential}, {"parallel", netsim.Parallel}, {"actors", netsim.Actors},
-		{"topo", topo.CliqueMode}}
+	}{{"sequential", netsim.Sequential}, {"parallel", netsim.Parallel}}
 	policies := []fault.DropPolicy{fault.DropAll, fault.DropHalf, fault.DropRandom, fault.DropNone}
 
 	for _, r := range runners {

@@ -17,7 +17,6 @@ import (
 	"sublinear/internal/fault"
 	"sublinear/internal/netsim"
 	"sublinear/internal/rng"
-	"sublinear/internal/topo"
 	"sublinear/internal/trace"
 )
 
@@ -149,20 +148,18 @@ func (f *Failure) String() string {
 // acceptance criterion for a shrink step.
 func sameBug(a, b *Failure) bool { return a.Kind == b.Kind && a.Oracle == b.Oracle }
 
-// modes are the engine strategies every case runs through. The topo
-// entry is the topology engine's clique instance (internal/topo): a
-// fourth independently scheduled delivery pipeline that must reproduce
-// the reference execution byte-for-byte on every system — the
-// registration contract that lets arbitrary-graph runs share the clique
-// engines' verification story.
+// modes are the engine strategies every case runs through: the
+// single-threaded sequential reference and the sharded pipeline, which
+// must reproduce the reference execution byte-for-byte on every system.
+// Topology systems run both on their compiled port tables, so general
+// graphs share the clique's verification story. The socket engine keeps
+// its own check (CheckRealnet).
 var modes = []struct {
 	name string
 	mode netsim.RunMode
 }{
 	{"sequential", netsim.Sequential},
 	{"parallel", netsim.Parallel},
-	{"actors", netsim.Actors},
-	{"topo", topo.CliqueMode},
 }
 
 // Check executes the case differentially through all engine modes and

@@ -6,32 +6,26 @@ import (
 	"sublinear/internal/baseline"
 	"sublinear/internal/core"
 	"sublinear/internal/netsim"
-	"sublinear/internal/topo"
 )
 
 // This file registers the topology-family protocols: leader election on
 // diameter-two graphs and on well-connected (bounded-degree expander)
-// graphs, both running on internal/topo rather than the clique engines.
-// The differential check still applies — the engine-mode axis maps onto
-// the topology engine's worker count, so "sequential vs parallel vs
-// actors vs topo" becomes "1 vs GOMAXPROCS vs 2 vs 4 workers", and any
+// graphs, both running on compiled port tables (internal/topo) instead
+// of the clique wiring. The differential check still applies — the
+// engine-mode axis maps onto the pipeline's worker count, so
+// "sequential vs parallel" becomes "1 vs GOMAXPROCS workers", and any
 // scheduling-dependent divergence in the sharded pipeline trips the same
-// digest diff as a clique engine bug would.
+// digest diff as on the clique.
 
-// topoWorkers maps an engine mode to the topology engine's worker count.
-// Every worker count must produce the identical digest; running the
-// differential across them is the topology engine's analogue of the
-// clique engines' cross-mode check.
+// topoWorkers maps an engine mode to the pipeline's worker count for a
+// topology system. Every worker count must produce the identical
+// digest.
 func topoWorkers(mode netsim.RunMode) (int, error) {
 	switch mode {
 	case netsim.Sequential:
 		return 1, nil
 	case netsim.Parallel:
 		return 0, nil
-	case netsim.Actors:
-		return 2, nil
-	case topo.CliqueMode:
-		return 4, nil
 	}
 	return 0, fmt.Errorf("dst: topology systems cannot run in mode %d", mode)
 }

@@ -344,23 +344,12 @@ func runE10(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	dPar := time.Since(t1)
-	act := seq
-	act.Actors = true
-	t2 := time.Now()
-	rAct, err := sublinear.Elect(act)
-	if err != nil {
-		return nil, err
-	}
-	dAct := time.Since(t2)
 	samePar := reflect.DeepEqual(rSeq.Outputs, rPar.Outputs) &&
 		reflect.DeepEqual(rSeq.CrashedAt, rPar.CrashedAt)
-	sameAct := reflect.DeepEqual(rSeq.Outputs, rAct.Outputs) &&
-		reflect.DeepEqual(rSeq.CrashedAt, rAct.CrashedAt)
 	engTbl.AddRow("sequential", dSeq.String(), "-")
 	engTbl.AddRow("parallel workers", dPar.String(), fmt.Sprintf("%v", samePar))
-	engTbl.AddRow("goroutine-per-node actors", dAct.String(), fmt.Sprintf("%v", sameAct))
 	rep.Tables = append(rep.Tables, engTbl)
-	if !samePar || !sameAct {
+	if !samePar {
 		rep.notef("WARNING: engines diverged — determinism bug.")
 	}
 	return rep, nil

@@ -6,7 +6,7 @@ package graph
 // well-connected expanders of Gilbert–Robinson–Sourav, and the star as
 // the degenerate diameter-two extreme. All generators are deterministic:
 // the same (n, seed) yields the same byte-stable adjacency, which the
-// topology engine's digest pins rely on.
+// topology systems' digest pins rely on.
 
 import "fmt"
 
@@ -95,10 +95,11 @@ func (g *renamed) Name() string { return g.name }
 
 // CliquePorts returns the complete graph with netsim's fixed port
 // wiring — port p of node u leads to (u+p) mod n — rather than the
-// sorted-neighbor ports of Complete. Compiling it into the topology
-// engine reproduces the clique simulator's executions bit-for-bit
-// (digest included), which the dst differential relies on; Complete's
-// ports differ and would yield a different (equally valid) execution.
+// sorted-neighbor ports of Complete. Compiled into a port table, it
+// reproduces the arithmetically routed clique's executions bit-for-bit
+// (digest included), which the CSR-vs-arithmetic parity test in
+// internal/topo checks; Complete's ports differ and would yield a
+// different (equally valid) execution.
 func CliquePorts(n int) (Graph, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("graph: n = %d", n)

@@ -63,8 +63,6 @@ func benchEngine(b *testing.B, n, rounds int, mode RunMode) {
 }
 
 func BenchmarkEngineModes(b *testing.B) {
-	// Actors is a compatibility alias for Parallel (see RunMode) and is
-	// not benchmarked separately.
 	for _, mode := range []struct {
 		name string
 		mode RunMode

@@ -5,8 +5,8 @@ package netsim
 // (sender, port, kind, size, delivered) tuple — into a single FNV-1a
 // fingerprint. Two runs with the same digest performed the same
 // communication; the deterministic-simulation harness (internal/dst)
-// compares digests across the Sequential, Parallel and Actors engines to
-// detect any scheduling-dependent divergence.
+// compares digests across the Sequential and Parallel engines to detect
+// any scheduling-dependent divergence.
 //
 // Schema v2 (the sharded-delivery pipeline): message events no longer
 // fold directly into the run digest on the coordination thread. Instead
@@ -84,60 +84,6 @@ func laneInit() uint64 { return fnvOffset }
 // practice.
 func laneEvent(lane, tag uint64, port, size int, kindHash uint64) uint64 {
 	return foldWord(foldWord(lane, tag|uint64(port)<<8|uint64(size)<<40), kindHash)
-}
-
-// EngineDigest is the run-digest accumulator for engines that live
-// outside this package (the topology-general engine in internal/topo,
-// registered via RegisterEngine). A registered engine must produce a
-// Result.Digest byte-equal to what the in-process engines would produce
-// for the same observable event stream; exporting the fold primitives —
-// instead of letting each engine re-implement the schema — makes that a
-// matter of calling them in the documented order: Round at each round
-// open, then at the round barrier Crash and Lane per node in ascending
-// node order, and finally Outcome once. Lanes themselves are built with
-// LaneInit/LaneEvent on any goroutine, exactly like the sharded
-// pipeline's per-sender lanes.
-type EngineDigest struct{ d digest }
-
-// NewEngineDigest returns an accumulator seeded like a fresh engine
-// digest, schema version included.
-func NewEngineDigest() *EngineDigest { return &EngineDigest{d: newDigest()} }
-
-// Round folds the start of round r.
-func (e *EngineDigest) Round(r int) { e.d.words(digestRound, uint64(r)) }
-
-// Crash folds node u's crash in round r.
-func (e *EngineDigest) Crash(u, r int) { e.d.words(digestCrash, uint64(u), uint64(r)) }
-
-// Lane folds one sender's round lane. A zero lane means "no events" and
-// folds nothing, mirroring the pipeline's sentinel.
-func (e *EngineDigest) Lane(sender int, lane uint64) {
-	if lane == 0 {
-		return
-	}
-	e.d.word(digestLane | uint64(sender)<<8)
-	e.d.word(lane)
-}
-
-// Outcome folds the run totals and returns the final digest. The
-// accumulator must not be reused afterwards.
-func (e *EngineDigest) Outcome(rounds int, messages, bits int64) uint64 {
-	e.d.words(digestOutcome, uint64(rounds), uint64(messages), uint64(bits))
-	return e.d.h
-}
-
-// LaneInit returns the seed of a per-sender lane digest (see laneInit).
-func LaneInit() uint64 { return laneInit() }
-
-// LaneEvent folds one counted message into a lane: a send, or a drop
-// when the message was lost to the sender's crash. kindHash is the
-// kind's content hash (metrics.KindHash).
-func LaneEvent(lane uint64, dropped bool, port, size int, kindHash uint64) uint64 {
-	tag := digestSend
-	if dropped {
-		tag = digestDrop
-	}
-	return laneEvent(lane, tag, port, size, kindHash)
 }
 
 // DigestAccumulator recomputes a run digest from the observable event

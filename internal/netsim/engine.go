@@ -23,14 +23,10 @@ type Engine struct {
 	bitBudget  int
 	digest     digest
 
-	// Concurrent selects the Parallel run mode; Mode overrides it when
-	// set. Semantics are identical across modes; tests assert
-	// equivalence.
-	Concurrent bool
 	// Mode selects the run mode: Sequential (default, a pure
 	// single-threaded reference pipeline) or Parallel (the sharded
-	// worker-pool pipeline). Actors is a compatibility alias for
-	// Parallel; see the RunMode docs.
+	// worker-pool pipeline). Semantics are identical across modes;
+	// tests assert equivalence.
 	Mode RunMode
 }
 
@@ -69,7 +65,7 @@ func NewEngine(cfg Config, machines []Machine, adv Adversary) (*Engine, error) {
 	// env loads local.
 	envs := make([]Env, cfg.N)
 	for u := 0; u < cfg.N; u++ {
-		envs[u] = Env{N: cfg.N, ID: u, Alpha: cfg.Alpha, Rand: root.Split(uint64(u)), Deg: cfg.N - 1, tracing: cfg.Tracer != nil}
+		envs[u] = Env{N: cfg.N, ID: u, Alpha: cfg.Alpha, Rand: root.Split(uint64(u)), Deg: cfg.degree(u), tracing: cfg.Tracer != nil}
 		e.envs[u] = &envs[u]
 	}
 	if cfg.Record {
@@ -94,17 +90,8 @@ func NewEngine(cfg Config, machines []Machine, adv Adversary) (*Engine, error) {
 // the steady state pays one barrier per round instead of three.
 func (e *Engine) Run() (*Result, error) {
 	n := e.cfg.N
-	mode := e.Mode
-	if mode == Sequential && e.Concurrent {
-		mode = Parallel
-	}
-	if mode == Actors {
-		// The one-goroutine-per-node actors engine is retired; Actors is a
-		// compatibility alias for the sharded pipeline (see RunMode).
-		mode = Parallel
-	}
 	workers := e.cfg.workerCount()
-	if mode == Sequential {
+	if e.Mode == Sequential {
 		// The sequential engine stays a pure single-threaded reference
 		// implementation: same pipeline, one inline shard, no goroutines.
 		workers = 1

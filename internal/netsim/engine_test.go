@@ -320,7 +320,7 @@ func (m *randomMachine) Done() bool  { return m.last >= 6 }
 func (m *randomMachine) Output() any { return append([]int(nil), m.seen...) }
 
 func TestRunModesEquivalent(t *testing.T) {
-	modes := []RunMode{Sequential, Parallel, Actors}
+	modes := []RunMode{Sequential, Parallel}
 	for seed := uint64(0); seed < 5; seed++ {
 		results := make([]*Result, len(modes))
 		for i, mode := range modes {
@@ -402,28 +402,16 @@ func TestDigestSeesCrashFiltering(t *testing.T) {
 	}
 }
 
-func TestConcurrentFlagSelectsParallel(t *testing.T) {
-	machines := []Machine{newScript(2, nil), newScript(2, nil)}
-	eng, err := NewEngine(Config{N: 2, Alpha: 1, MaxRounds: 3}, machines, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Concurrent = true
-	if _, err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestActorsModeWithCrashes(t *testing.T) {
-	// The actor pool must interoperate with crash filtering and shut its
-	// goroutines down cleanly.
-	for _, mode := range []RunMode{Sequential, Actors} {
+func TestParallelModeWithCrashes(t *testing.T) {
+	// The worker pool must interoperate with crash filtering and never
+	// step a crashed machine again.
+	for _, mode := range []RunMode{Sequential, Parallel} {
 		m0 := newScript(4, map[int][]Send{
 			1: {{Port: 1, Payload: testPayload{id: 1}}, {Port: 2, Payload: testPayload{id: 1}}},
 			2: {{Port: 1, Payload: testPayload{id: 2}}, {Port: 2, Payload: testPayload{id: 2}}},
 		})
 		machines := []Machine{m0, newScript(4, nil), newScript(4, nil)}
-		eng, err := NewEngine(Config{N: 3, Alpha: 0.5, MaxRounds: 4}, machines, crashAdv{node: 0, round: 2})
+		eng, err := NewEngine(Config{N: 3, Alpha: 0.5, MaxRounds: 4, Workers: 3}, machines, crashAdv{node: 0, round: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -436,7 +424,7 @@ func TestActorsModeWithCrashes(t *testing.T) {
 			t.Fatalf("mode %d: CrashedAt = %v", mode, res.CrashedAt)
 		}
 		if m0.last != 2 {
-			t.Fatalf("mode %d: crashed actor stepped in round %d", mode, m0.last)
+			t.Fatalf("mode %d: crashed machine stepped in round %d", mode, m0.last)
 		}
 	}
 }

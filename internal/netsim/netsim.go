@@ -22,7 +22,10 @@
 // (u+p) mod n. The protocols in this repository use ports only for
 // uniform random sampling and for replying on arrival ports, so any fixed
 // bijection yields the same execution distribution as the hidden random
-// permutation of the paper's model (see DESIGN.md).
+// permutation of the paper's model (see DESIGN.md). The same pipeline
+// runs on any connected graph given a compiled PortTable (Config.Ports):
+// node u then has ports 1..Degree(u) following the graph, and the wiring
+// is the only thing that changes.
 package netsim
 
 import (
@@ -94,9 +97,8 @@ type Env struct {
 	ID    int
 	Alpha float64
 	Rand  *rng.Source
-	// Deg is the number of local ports. On the complete network it is
-	// N-1; the general-graph simulator (internal/graphsim) sets the
-	// node's topology degree.
+	// Deg is the number of local ports: N-1 on the complete network,
+	// the node's degree under a Config.Ports table.
 	Deg int
 
 	// Trace-annotation buffer, drained by the engine at the round
@@ -146,10 +148,11 @@ func (e *Env) Annotate(text string) {
 }
 
 // PortTo returns the local port that reaches node v from this node (KT1
-// only). It panics if v is this node.
+// on the complete network only). It panics if v is this node.
 func (e *Env) PortTo(v int) int { return ArrivalPort(e.N, v, e.ID) }
 
-// SenderOf returns the node behind the given arrival port (KT1 only).
+// SenderOf returns the node behind the given arrival port (KT1 on the
+// complete network only).
 func (e *Env) SenderOf(port int) int { return Peer(e.N, e.ID, port) }
 
 // Machine is a per-node protocol state machine.
@@ -213,8 +216,8 @@ type CrashPlanner interface {
 //
 //   - Every method is called on the coordination thread; implementations
 //     need no locking.
-//   - The call order is deterministic — identical for the Sequential,
-//     Parallel, and Actors engines at every worker count, because events
+//   - The call order is deterministic — identical for the Sequential
+//     and Parallel engines at every worker count, because events
 //     buffered on the delivery pipeline's workers are emitted at the
 //     round barrier in ascending node order, exactly mirroring the
 //     digest fold order (see shard.go pass D).
@@ -284,10 +287,14 @@ type Config struct {
 	// trace entries keep their deterministic first-crossing order.
 	Record bool
 	// Workers sizes the sharded pipeline's worker pool, used by the
-	// Parallel mode (and its Actors alias). Zero selects
-	// runtime.GOMAXPROCS(0); 1 forces a fully single-threaded pipeline;
-	// negative is invalid.
+	// Parallel mode. Zero selects runtime.GOMAXPROCS(0); 1 forces a
+	// fully single-threaded pipeline; negative is invalid.
 	Workers int
+	// Ports, when non-nil, wires the nodes as a general graph compiled by
+	// CompilePorts; it must have N nodes. nil selects the complete
+	// network's fixed wiring (see Peer), routed by arithmetic. Only the
+	// built-in modes run general graphs.
+	Ports *PortTable
 	// Tracer, when non-nil, receives the run's typed event stream in
 	// deterministic order (see the Tracer interface contract). Unlike
 	// Record it does not constrain the pipeline: traced runs keep their
@@ -309,6 +316,9 @@ func (c *Config) validate() error {
 	if c.Workers < 0 {
 		return fmt.Errorf("netsim: config Workers = %d, need >= 0", c.Workers)
 	}
+	if c.Ports != nil && c.Ports.N() != c.N {
+		return fmt.Errorf("netsim: port table has %d nodes, config N = %d", c.Ports.N(), c.N)
+	}
 	return nil
 }
 
@@ -319,6 +329,14 @@ func (c *Config) workerCount() int {
 		return c.Workers
 	}
 	return runtime.GOMAXPROCS(0)
+}
+
+// degree returns node u's port count under the configured wiring.
+func (c *Config) degree(u int) int {
+	if c.Ports == nil {
+		return c.N - 1
+	}
+	return c.Ports.Degree(u)
 }
 
 func (c *Config) bitBudget() int {

@@ -169,7 +169,7 @@ func TestWorkersOverrideDeterminism(t *testing.T) {
 	for _, mode := range []struct {
 		name string
 		mode RunMode
-	}{{"sequential", Sequential}, {"parallel", Parallel}, {"actors", Actors}} {
+	}{{"sequential", Sequential}, {"parallel", Parallel}} {
 		for _, workers := range []int{0, 1, 2, 4, 7} {
 			t.Run(fmt.Sprintf("%s/w%d", mode.name, workers), func(t *testing.T) {
 				res := pingRun(t, n, rounds, workers, mode.mode, adv)
@@ -266,7 +266,6 @@ func TestLargeNDigestIdentity(t *testing.T) {
 		{"parallel/w2", Parallel, 2},
 		{"parallel/w8", Parallel, 8},
 		{"parallel/w0", Parallel, 0},
-		{"actors/w4", Actors, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res := pingRun(t, n, rounds, tc.workers, tc.mode, adv)

@@ -39,6 +39,13 @@ package netsim
 //     is a pure function of per-sender lanes folded in node order, and
 //     each lane is a pure function of one sender's outbox.
 //
+// The wiring is the one varying piece: a validated port resolves to its
+// peer by the complete network's arithmetic when Config.Ports is nil, or
+// through the compiled CSR port table otherwise (see processSender), and
+// the valid port range of node u is 1..Degree(u). Everything else —
+// stages, barriers, folds, and event order — is shared, so a general
+// graph runs on exactly the code path the clique does.
+//
 // All buffers (buckets, inbox arenas, bitsets, lane arrays, crash
 // masks, flat counters) are allocated once per Run — pre-sized from the
 // Config and the interned-kind registry — and recycled, so the
@@ -125,8 +132,8 @@ func (wk *delivWorker) count(k metrics.Kind, bits int) {
 // buckets, lanes, and crash masks.
 type pipeline struct {
 	e     *Engine
-	w     int // shard / worker count
-	chunk int // nodes per shard; a power of two, so routing is a shift
+	w     int  // shard / worker count
+	chunk int  // nodes per shard; a power of two, so routing is a shift
 	shift uint // log2(chunk)
 
 	workers  []delivWorker
@@ -192,7 +199,11 @@ func newPipeline(e *Engine, w int) *pipeline {
 		faulty:   make([]bool, n),
 		keep:     make([][]bool, n),
 	}
-	words := (n + 63) / 64
+	maxPort := n - 1
+	if e.cfg.Ports != nil {
+		maxPort = e.cfg.Ports.maxDeg
+	}
+	words := maxPort>>6 + 1 // duplicate-port bitset covers ports 0..maxPort
 	kinds := metrics.KindCount()
 	for i := range p.workers {
 		p.workers[i].portSeen = make([]uint64, words)
@@ -264,10 +275,11 @@ func (p *pipeline) crashPass(round int) int {
 			} else {
 				mask = mask[:len(outbox)]
 			}
+			deg := e.cfg.degree(u)
 			for i, s := range outbox {
 				// Out-of-range ports never reach the adversary, matching
 				// the original engine's call set.
-				mask[i] = s.Port >= 1 && s.Port < n && e.adv.DeliverOnCrash(u, round, i, s)
+				mask[i] = s.Port >= 1 && s.Port <= deg && e.adv.DeliverOnCrash(u, round, i, s)
 			}
 			p.keep[u] = mask
 		}
@@ -454,6 +466,12 @@ func (p *pipeline) sendShard(shard, lo, hi int) {
 func (p *pipeline) processSender(wk *delivWorker, u int, outbox []Send) {
 	e := p.e
 	n := e.cfg.N
+	deg := e.cfg.degree(u)
+	ports := e.cfg.Ports
+	var base int32
+	if ports != nil {
+		base = ports.row[u]
+	}
 	round := p.round
 	crashing := p.crashing[u]
 	var keep []bool
@@ -466,7 +484,7 @@ func (p *pipeline) processSender(wk *delivWorker, u int, outbox []Send) {
 	lane := laneInit()
 	events := 0
 	for i, s := range outbox {
-		if s.Port < 1 || s.Port >= n {
+		if s.Port < 1 || s.Port > deg {
 			reason := fmt.Sprintf("port %d out of range", s.Port)
 			if traced {
 				p.tevs[u] = append(p.tevs[u], tev{op: tevViolation, port: int32(s.Port), reason: reason})
@@ -518,14 +536,23 @@ func (p *pipeline) processSender(wk *delivWorker, u int, outbox []Send) {
 		if traced {
 			p.tevs[u] = append(p.tevs[u], tev{op: tevSend, port: int32(s.Port), bits: int32(sz), kind: kid})
 		}
-		// With 1 <= Port < n already validated, Peer and ArrivalPort
-		// reduce to a compare-subtract and a subtract — no div/mod on the
-		// per-message path.
-		v := u + s.Port
-		if v >= n {
-			v -= n
+		// Routing, with 1 <= Port <= deg already validated: on the clique
+		// Peer and ArrivalPort reduce to a compare-subtract and a
+		// subtract; a port table resolves them with two int32 loads. No
+		// div/mod, search, or interface call on the per-message path.
+		var v int
+		var d Delivery
+		if ports == nil {
+			v = u + s.Port
+			if v >= n {
+				v -= n
+			}
+			d = Delivery{Port: n - s.Port, Payload: s.Payload}
+		} else {
+			k := base + int32(s.Port) - 1
+			v = int(ports.peer[k])
+			d = Delivery{Port: int(ports.aport[k]), Payload: s.Payload}
 		}
-		d := Delivery{Port: n - s.Port, Payload: s.Payload}
 		rs := v >> p.shift
 		buckets[rs] = append(buckets[rs], routed{to: int32(v), d: d})
 		if e.trace != nil {
@@ -536,7 +563,7 @@ func (p *pipeline) processSender(wk *delivWorker, u int, outbox []Send) {
 	}
 	if checkDup {
 		for _, s := range outbox {
-			if s.Port >= 1 && s.Port < n {
+			if s.Port >= 1 && s.Port <= deg {
 				wk.portSeen[uint(s.Port)>>6] &^= uint64(1) << (uint(s.Port) & 63)
 			}
 		}

@@ -92,10 +92,10 @@ type JobSpec struct {
 	// Policy is the crash-round delivery policy (all|none|half|random);
 	// empty means half.
 	Policy string `json:"policy,omitempty"`
-	// Engine selects the execution engine (seq|concurrent|actors); empty
-	// means seq. All engines are deterministic per seed. For topology
-	// protocols the engine maps onto the topo pipeline's worker count
-	// (1, GOMAXPROCS, 2) — digests are identical across all of them.
+	// Engine selects the execution engine (seq|concurrent); empty means
+	// seq. Both engines are deterministic per seed. For topology
+	// protocols the engine maps onto the pipeline's worker count
+	// (1, GOMAXPROCS) — digests are identical across both.
 	Engine string `json:"engine,omitempty"`
 	// Topology names the graph family a topology protocol runs on (see
 	// topo.TopologyNames); empty resolves the protocol's native family
@@ -291,9 +291,9 @@ func (s JobSpec) Normalize(lim Limits) (JobSpec, error) {
 		out.Engine = "seq"
 	}
 	switch out.Engine {
-	case "seq", "concurrent", "actors":
+	case "seq", "concurrent":
 	default:
-		return out, fmt.Errorf("unknown engine %q (want seq|concurrent|actors)", out.Engine)
+		return out, fmt.Errorf("unknown engine %q (want seq|concurrent)", out.Engine)
 	}
 	if native := defaultTopology[out.Protocol]; native != "" {
 		if out.Topology == "" {

@@ -222,7 +222,6 @@ func coreOptions(spec JobSpec, seed uint64, tracer netsim.Tracer) sublinear.Opti
 		N: spec.N, Alpha: spec.Alpha, Seed: seed,
 		Explicit:   spec.Explicit,
 		Concurrent: spec.Engine == "concurrent",
-		Actors:     spec.Engine == "actors",
 		Tracer:     tracer,
 	}
 	if f := *spec.F; f > 0 {
@@ -234,19 +233,14 @@ func coreOptions(spec JobSpec, seed uint64, tracer netsim.Tracer) sublinear.Opti
 	return opts
 }
 
-// engineWorkers maps the spec's engine name onto the topology engine's
-// worker count: the sequential engine is the single-worker schedule, the
-// concurrent engine uses GOMAXPROCS sharding, and the actor engine's
-// closest analogue is a small fixed shard count.
+// engineWorkers maps the spec's engine name onto the pipeline's worker
+// count for a topology job: the sequential engine is the single-worker
+// schedule, the concurrent engine uses GOMAXPROCS sharding.
 func engineWorkers(engine string) int {
-	switch engine {
-	case "concurrent":
+	if engine == "concurrent" {
 		return 0
-	case "actors":
-		return 2
-	default:
-		return 1
 	}
+	return 1
 }
 
 func parsePolicy(s string) sublinear.DropPolicy {

@@ -103,7 +103,7 @@ func TestDSTJob(t *testing.T) {
 	}
 	// Same job with noise in campaign-irrelevant fields: one cache key.
 	noisy, err := JobSpec{Protocol: "dst", Seed: 11, Reps: 3,
-		N: 512, Alpha: 0.9, Policy: "all", Engine: "actors", Hunter: true}.Normalize(DefaultLimits)
+		N: 512, Alpha: 0.9, Policy: "all", Engine: "concurrent", Hunter: true}.Normalize(DefaultLimits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestMCJob(t *testing.T) {
 		t.Fatalf("mc normalization: %+v", norm)
 	}
 	noisy, err := JobSpec{Protocol: "mc", System: "canary", N: 4, Seed: 11,
-		Policy: "all", Engine: "actors", Hunter: true, Raw: true}.Normalize(DefaultLimits)
+		Policy: "all", Engine: "concurrent", Hunter: true, Raw: true}.Normalize(DefaultLimits)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,9 +25,9 @@ func (m *fixedPingMachine) Step(_ *netsim.Env, round int, _ []netsim.Delivery) [
 func (m *fixedPingMachine) Done() bool  { return false }
 func (m *fixedPingMachine) Output() any { return m.last }
 
-// TestTopoZeroAllocSteadyState pins the acceptance criterion: at
-// n = 4096 on the diameter-two graph (and on the clique instance), once
-// a run's arenas warm up, extra rounds cost no allocations. Measured as
+// TestTopoZeroAllocSteadyState pins that at n = 4096 on the
+// diameter-two graph's port table (and on the clique), once a run's
+// arenas warm up, extra rounds cost no allocations. Measured as
 // the marginal allocations per extra message between a short and a long
 // run, so construction cost cancels.
 func TestTopoZeroAllocSteadyState(t *testing.T) {
@@ -56,7 +56,7 @@ func TestTopoZeroAllocSteadyState(t *testing.T) {
 			measure := func(rounds int) float64 {
 				return testing.AllocsPerRun(3, func() {
 					machines := machinesOf(n, func() netsim.Machine { return &fixedPingMachine{} })
-					if _, err := Run(Config{Topology: tp, Alpha: 1, Seed: 42, MaxRounds: rounds, Workers: tc.workers},
+					if _, err := runOn(tp, netsim.Config{Alpha: 1, Seed: 42, MaxRounds: rounds, Workers: tc.workers},
 						machines, nil); err != nil {
 						t.Fatal(err)
 					}
@@ -76,7 +76,7 @@ func benchTopo(b *testing.B, tp *Topology, rounds, workers int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		machines := machinesOf(tp.N(), func() netsim.Machine { return &degPingMachine{} })
-		if _, err := Run(Config{Topology: tp, Alpha: 1, Seed: uint64(i), MaxRounds: rounds, Workers: workers},
+		if _, err := runOn(tp, netsim.Config{Alpha: 1, Seed: uint64(i), MaxRounds: rounds, Workers: workers},
 			machines, nil); err != nil {
 			b.Fatal(err)
 		}

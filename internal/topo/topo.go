@@ -1,120 +1,68 @@
-// Package topo is the topology-general delivery engine: the sharded,
-// allocation-free pipeline of internal/netsim generalized from the
-// complete network to arbitrary connected graphs (the paper's open
-// problem 2 and the setting of the diameter-two and well-connected
-// election papers in PAPERS.md).
+// Package topo names and compiles the network topologies the simulator
+// runs on: the paper's complete network and the general connected
+// graphs of its open problem 2 — the setting of the diameter-two and
+// well-connected election papers in PAPERS.md.
 //
-// A graph.Graph is compiled once into a Topology — a compressed-sparse-
-// row (CSR) port table — and executions run on the same round structure,
+// A graph.Graph compiles once into a Topology, whose port table
+// (netsim.PortTable) plugs into netsim.Config.Ports. Executions then run
+// on netsim's one delivery pipeline, with the same round structure,
 // adversary contract, CONGEST accounting, digest schema, and Tracer
-// event stream as the clique simulator. The clique itself is just one
-// Topology (Clique), wired exactly like netsim's fixed port permutation
-// and registered as a first-class netsim.RunMode (CliqueMode), so the
-// dst harness differentially checks this engine against the clique
-// pipeline on every system: byte-identical digests or the differential
-// fails.
+// event stream as the clique: the wiring is the only thing that
+// changes. The clique itself is the Topology with no table (Clique),
+// routed by netsim's arithmetic.
 //
-// The only model difference from netsim is the port space: node u has
-// ports 1..Degree(u) following the topology instead of 1..n-1. Per-edge
-// CONGEST is enforced identically — one message per port per round, a
-// per-message budget of CongestFactor*ceil(log2 n) bits.
+// The only model difference from the clique is the port space: node u
+// has ports 1..Degree(u) following the topology instead of 1..n-1.
+// Per-edge CONGEST is enforced identically — one message per port per
+// round, a per-message budget of CongestFactor*ceil(log2 n) bits.
 package topo
 
 import (
 	"fmt"
 
 	"sublinear/internal/graph"
+	"sublinear/internal/netsim"
 )
 
-// Topology is a compiled, immutable port-numbered adjacency. The CSR
-// layout stores, for every node u and local port p in 1..Degree(u), the
-// peer node behind the port and the arrival port on which the peer
-// receives — both resolved at compile time, so the per-message hot path
-// is two int32 loads with no search. The clique is special-cased to the
-// arithmetic wiring (peer = (u+p) mod n, arrival = n-p) and carries no
-// arrays at all.
+// Topology is a compiled, immutable port-numbered adjacency: a
+// netsim.PortTable, or no table for the clique.
 type Topology struct {
-	n      int
-	name   string
-	clique bool
-	maxDeg int
-	row    []int32 // len n+1; node u's port entries occupy [row[u], row[u+1])
-	peer   []int32 // peer[row[u]+p-1] is the node behind port p of u
-	aport  []int32 // aport[row[u]+p-1] is the arrival port at that peer
+	n     int
+	ports *netsim.PortTable // nil for the clique
 }
 
-// Compile builds the CSR port table of g. Ports keep the graph's own
-// numbering, so a protocol's execution on the compiled topology is
-// identical to one driven through graph.Graph directly.
+// Compile builds the port table of g (see netsim.CompilePorts). Ports
+// keep the graph's own numbering, so a protocol's execution on the
+// compiled topology is identical to one driven through graph.Graph
+// directly.
 func Compile(g graph.Graph) (*Topology, error) {
-	n := g.N()
-	if n < 2 {
-		return nil, fmt.Errorf("topo: graph has %d nodes, need >= 2", n)
+	ports, err := netsim.CompilePorts(g)
+	if err != nil {
+		return nil, err
 	}
-	t := &Topology{n: n, name: g.Name(), row: make([]int32, n+1)}
-	total := 0
-	for u := 0; u < n; u++ {
-		d := g.Degree(u)
-		if d < 1 {
-			return nil, fmt.Errorf("topo: node %d has degree 0", u)
-		}
-		total += d
-		t.row[u+1] = int32(total)
-		if d > t.maxDeg {
-			t.maxDeg = d
-		}
-	}
-	t.peer = make([]int32, total)
-	t.aport = make([]int32, total)
-	for u := 0; u < n; u++ {
-		base := t.row[u]
-		for p := 1; p <= g.Degree(u); p++ {
-			v := g.Neighbor(u, p)
-			if v < 0 || v >= n || v == u {
-				return nil, fmt.Errorf("topo: Neighbor(%d,%d) = %d is invalid", u, p, v)
-			}
-			ap := g.PortOf(v, u)
-			if ap < 1 || ap > g.Degree(v) {
-				return nil, fmt.Errorf("topo: edge (%d,%d) has no reverse port", u, v)
-			}
-			t.peer[base+int32(p)-1] = int32(v)
-			t.aport[base+int32(p)-1] = int32(ap)
-		}
-	}
-	return t, nil
+	return &Topology{n: ports.N(), ports: ports}, nil
 }
 
 // Clique returns the complete topology on n nodes with netsim's fixed
-// port wiring (port p of u leads to (u+p) mod n). It stores no adjacency
-// arrays: routing is pure arithmetic, so the clique instance costs the
-// same per message as the netsim pipeline it mirrors.
+// port wiring (port p of u leads to (u+p) mod n). It carries no port
+// table: routing is pure arithmetic.
 func Clique(n int) *Topology {
-	return &Topology{n: n, name: "clique", clique: true, maxDeg: n - 1}
+	return &Topology{n: n}
 }
 
 // N returns the number of nodes.
 func (t *Topology) N() int { return t.n }
 
-// Name returns the topology's table label.
-func (t *Topology) Name() string { return t.name }
-
-// MaxDegree returns the maximum node degree.
-func (t *Topology) MaxDegree() int { return t.maxDeg }
+// Ports returns the compiled port table for netsim.Config.Ports: nil for
+// the clique, which the pipeline routes by arithmetic.
+func (t *Topology) Ports() *netsim.PortTable { return t.ports }
 
 // Degree returns the degree of node u — the number of its local ports.
 func (t *Topology) Degree(u int) int {
-	if t.clique {
+	if t.ports == nil {
 		return t.n - 1
 	}
-	return int(t.row[u+1] - t.row[u])
-}
-
-// Ports returns the total directed port count (twice the edge count).
-func (t *Topology) Ports() int64 {
-	if t.clique {
-		return int64(t.n) * int64(t.n-1)
-	}
-	return int64(len(t.peer))
+	return t.ports.Degree(u)
 }
 
 // Edge resolves port p of node u: the peer node and the arrival port the
@@ -123,15 +71,10 @@ func (t *Topology) Edge(u, p int) (peer, arrival int) {
 	if p < 1 || p > t.Degree(u) {
 		panic(fmt.Sprintf("topo: port %d out of range [1,%d] at node %d", p, t.Degree(u), u))
 	}
-	if t.clique {
-		v := u + p
-		if v >= t.n {
-			v -= t.n
-		}
-		return v, t.n - p
+	if t.ports == nil {
+		return netsim.Peer(t.n, u, p), t.n - p
 	}
-	i := t.row[u] + int32(p) - 1
-	return int(t.peer[i]), int(t.aport[i])
+	return t.ports.Edge(u, p)
 }
 
 // Diameter returns the topology's diameter by breadth-first search from
@@ -139,10 +82,7 @@ func (t *Topology) Edge(u, p int) (peer, arrival int) {
 // round budget depends on the diameter (the well-connected election);
 // compile-time, never on the per-round path.
 func (t *Topology) Diameter() int {
-	if t.clique {
-		if t.n <= 1 {
-			return 0
-		}
+	if t.ports == nil {
 		return 1
 	}
 	dist := make([]int32, t.n)
@@ -159,11 +99,11 @@ func (t *Topology) Diameter() int {
 			if int(dist[u]) > diam {
 				diam = int(dist[u])
 			}
-			for i := t.row[u]; i < t.row[u+1]; i++ {
-				v := t.peer[i]
+			for p := 1; p <= t.ports.Degree(int(u)); p++ {
+				v, _ := t.ports.Edge(int(u), p)
 				if dist[v] < 0 {
 					dist[v] = dist[u] + 1
-					queue = append(queue, v)
+					queue = append(queue, int32(v))
 				}
 			}
 		}

@@ -19,25 +19,6 @@ func (p *pingPayload) Bits(int) int       { return p.bits }
 func (*pingPayload) Kind() string         { return "ping" }
 func (*pingPayload) KindID() metrics.Kind { return pingKind }
 
-// randPingMachine sends one message on a random local port every round:
-// the clique-parity workload (identical to netsim's pingMachine when
-// Deg = N-1, because Env.Rand draws the same stream).
-type randPingMachine struct {
-	last    int
-	payload pingPayload
-	out     [1]netsim.Send
-}
-
-func (m *randPingMachine) Step(env *netsim.Env, round int, _ []netsim.Delivery) []netsim.Send {
-	m.last = round
-	m.payload.bits = 8
-	m.out[0] = netsim.Send{Port: 1 + env.Rand.Intn(env.N-1), Payload: &m.payload}
-	return m.out[:]
-}
-
-func (m *randPingMachine) Done() bool  { return false }
-func (m *randPingMachine) Output() any { return m.last }
-
 // degPingMachine sends on a random port of its actual degree — the
 // general-topology always-busy workload.
 type degPingMachine struct {
@@ -67,60 +48,20 @@ func (a crashAdv) CrashNow(u, round int, _ []netsim.Send) bool {
 }
 func (a crashAdv) DeliverOnCrash(_, _, i int, _ netsim.Send) bool { return i%2 == 0 }
 
+// runOn executes machines on tp through netsim's delivery pipeline with
+// tp's port table: the Parallel mode at cfg.Workers (1 is the
+// single-lane schedule, 0 means GOMAXPROCS).
+func runOn(tp *Topology, cfg netsim.Config, machines []netsim.Machine, adv netsim.Adversary) (*netsim.Result, error) {
+	cfg.N, cfg.Ports = tp.N(), tp.Ports()
+	return netsim.Execute(netsim.Parallel, cfg, machines, adv)
+}
+
 func machinesOf(n int, build func() netsim.Machine) []netsim.Machine {
 	ms := make([]netsim.Machine, n)
 	for u := range ms {
 		ms[u] = build()
 	}
 	return ms
-}
-
-// TestCliqueParityWithNetsim is the registration contract: the clique
-// instance of the topology engine must reproduce the netsim engines'
-// executions byte-for-byte — digest, counters, rounds, outputs — for
-// the same (n, seed, machines, adversary), fault-free and crashing,
-// at several worker counts and through the netsim.Execute dispatch.
-func TestCliqueParityWithNetsim(t *testing.T) {
-	const n, rounds = 64, 20
-	for _, tc := range []struct {
-		name string
-		adv  netsim.Adversary
-	}{
-		{"fault-free", nil},
-		{"crash", crashAdv{node: 3, round: 7}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			ref, err := netsim.Execute(netsim.Sequential,
-				netsim.Config{N: n, Alpha: 1, Seed: 42, MaxRounds: rounds},
-				machinesOf(n, func() netsim.Machine { return &randPingMachine{} }), tc.adv)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 2, 4, 0} {
-				res, err := Run(Config{Topology: Clique(n), Alpha: 1, Seed: 42, MaxRounds: rounds, Workers: workers},
-					machinesOf(n, func() netsim.Machine { return &randPingMachine{} }), tc.adv)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Digest != ref.Digest {
-					t.Errorf("workers=%d: digest %#x, want %#x", workers, res.Digest, ref.Digest)
-				}
-				if res.Counters.Messages() != ref.Counters.Messages() || res.Rounds != ref.Rounds {
-					t.Errorf("workers=%d: (msgs,rounds) = (%d,%d), want (%d,%d)", workers,
-						res.Counters.Messages(), res.Rounds, ref.Counters.Messages(), ref.Rounds)
-				}
-			}
-			res, err := netsim.Execute(CliqueMode,
-				netsim.Config{N: n, Alpha: 1, Seed: 42, MaxRounds: rounds},
-				machinesOf(n, func() netsim.Machine { return &randPingMachine{} }), tc.adv)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Digest != ref.Digest {
-				t.Errorf("Execute(CliqueMode): digest %#x, want %#x", res.Digest, ref.Digest)
-			}
-		})
-	}
 }
 
 // testTopologies builds one instance of every generator family at a
@@ -138,16 +79,16 @@ func testTopologies(t *testing.T, n int) map[string]*Topology {
 	return out
 }
 
-// TestDigestDeterminismAcrossWorkers is the engine-side half of the
-// tentpole's determinism criterion: on every generator, with a mid-run
-// crash, digests and counters are identical at every worker count.
+// TestDigestDeterminismAcrossWorkers pins that on every generator, with
+// a mid-run crash, digests and counters are identical at every worker
+// count of the pipeline.
 func TestDigestDeterminismAcrossWorkers(t *testing.T) {
 	const n, rounds = 33, 16
 	adv := crashAdv{node: 5, round: 6}
 	for name, tp := range testTopologies(t, n) {
 		t.Run(name, func(t *testing.T) {
 			run := func(workers int) *netsim.Result {
-				res, err := Run(Config{Topology: tp, Alpha: 0.5, Seed: 11, MaxRounds: rounds, Workers: workers},
+				res, err := runOn(tp, netsim.Config{Alpha: 0.5, Seed: 11, MaxRounds: rounds, Workers: workers},
 					machinesOf(n, func() netsim.Machine { return &degPingMachine{} }), adv)
 				if err != nil {
 					t.Fatal(err)
@@ -221,7 +162,7 @@ func TestRingWiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{Topology: tp, Alpha: 1, Seed: 1, MaxRounds: 3},
+	res, err := runOn(tp, netsim.Config{Alpha: 1, Seed: 1, MaxRounds: 3},
 		machinesOf(n, func() netsim.Machine { return &floodOnce{} }), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +205,7 @@ func TestEnvDegree(t *testing.T) {
 		u := u
 		machines[u] = &probeMachine{probe: func(env *netsim.Env) { degs[u] = env.Deg }}
 	}
-	if _, err := Run(Config{Topology: tp, Alpha: 1, Seed: 1, MaxRounds: 1}, machines, nil); err != nil {
+	if _, err := runOn(tp, netsim.Config{Alpha: 1, Seed: 1, MaxRounds: 1}, machines, nil); err != nil {
 		t.Fatal(err)
 	}
 	if degs[0] != 5 {
@@ -322,11 +263,11 @@ func TestPortValidation(t *testing.T) {
 	build := func() []netsim.Machine {
 		return machinesOf(5, func() netsim.Machine { return &badPortMachine{} })
 	}
-	_, err = Run(Config{Topology: tp, Alpha: 1, Seed: 1, MaxRounds: 2, Strict: true}, build(), nil)
+	_, err = runOn(tp, netsim.Config{Alpha: 1, Seed: 1, MaxRounds: 2, Strict: true}, build(), nil)
 	if err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Errorf("strict run error = %v, want out-of-range", err)
 	}
-	res, err := Run(Config{Topology: tp, Alpha: 1, Seed: 1, MaxRounds: 2}, build(), nil)
+	res, err := runOn(tp, netsim.Config{Alpha: 1, Seed: 1, MaxRounds: 2}, build(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +292,7 @@ func TestCrashFiltering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{Topology: tp, Alpha: 0.5, Seed: 1, MaxRounds: 3},
+	res, err := runOn(tp, netsim.Config{Alpha: 0.5, Seed: 1, MaxRounds: 3},
 		machinesOf(n, func() netsim.Machine { return &floodOnce{} }), crashAdv{node: 0, round: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -398,23 +339,31 @@ func (t *Topology) mustPortOf(u, v int) int {
 	panic("no edge")
 }
 
-// TestValidation covers the config error paths.
+// TestValidation covers the config error paths of a run on a compiled
+// topology.
 func TestValidation(t *testing.T) {
-	tp := Clique(4)
-	ms := machinesOf(4, func() netsim.Machine { return &floodOnce{} })
-	if _, err := Run(Config{Alpha: 1, MaxRounds: 1}, ms, nil); err == nil {
-		t.Error("nil topology accepted")
+	tp, err := ResolveTopology("ring", 4, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Run(Config{Topology: tp, Alpha: 1, MaxRounds: 0}, ms, nil); err == nil {
+	ms := machinesOf(4, func() netsim.Machine { return &floodOnce{} })
+	other, err := ResolveTopology("ring", 5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := netsim.Execute(netsim.Parallel, netsim.Config{N: 4, Ports: other.Ports(), Alpha: 1, MaxRounds: 1}, ms, nil); err == nil {
+		t.Error("port table of another size accepted")
+	}
+	if _, err := runOn(tp, netsim.Config{Alpha: 1, MaxRounds: 0}, ms, nil); err == nil {
 		t.Error("MaxRounds 0 accepted")
 	}
-	if _, err := Run(Config{Topology: tp, Alpha: 1, MaxRounds: 1}, ms[:3], nil); err == nil {
+	if _, err := runOn(tp, netsim.Config{Alpha: 1, MaxRounds: 1}, ms[:3], nil); err == nil {
 		t.Error("machine count mismatch accepted")
 	}
-	if _, err := Run(Config{Topology: tp, Alpha: 0, MaxRounds: 1}, ms, nil); err == nil {
+	if _, err := runOn(tp, netsim.Config{Alpha: 0, MaxRounds: 1}, ms, nil); err == nil {
 		t.Error("alpha 0 accepted")
 	}
-	if _, err := Run(Config{Topology: tp, Alpha: 1, MaxRounds: 1, Workers: -1}, ms, nil); err == nil {
+	if _, err := runOn(tp, netsim.Config{Alpha: 1, MaxRounds: 1, Workers: -1}, ms, nil); err == nil {
 		t.Error("negative workers accepted")
 	}
 }
@@ -424,7 +373,21 @@ func TestCompileRejectsBrokenGraphs(t *testing.T) {
 	if _, err := Compile(brokenGraph{}); err == nil {
 		t.Error("asymmetric graph compiled")
 	}
+	if _, err := Compile(misroutedGraph{}); err == nil {
+		t.Error("graph with a misrouted reverse port compiled")
+	}
 }
+
+// misroutedGraph is a triangle whose PortOf always answers port 1: in
+// range, but for half the edges it leads to the wrong node, so replies
+// on arrival ports would reach a third party.
+type misroutedGraph struct{}
+
+func (misroutedGraph) N() int                { return 3 }
+func (misroutedGraph) Degree(int) int        { return 2 }
+func (misroutedGraph) Neighbor(u, p int) int { return (u + p) % 3 }
+func (misroutedGraph) PortOf(int, int) int   { return 1 }
+func (misroutedGraph) Name() string          { return "misrouted" }
 
 // brokenGraph claims an edge 0->1 with no reverse port.
 type brokenGraph struct{}
@@ -473,7 +436,7 @@ func TestTracerStreamWitnessesDigest(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		tr := &accumTracer{acc: netsim.NewDigestAccumulator()}
-		res, err := Run(Config{Topology: tp, Alpha: 0.5, Seed: 5, MaxRounds: rounds, Workers: workers, Tracer: tr},
+		res, err := runOn(tp, netsim.Config{Alpha: 0.5, Seed: 5, MaxRounds: rounds, Workers: workers, Tracer: tr},
 			machinesOf(n, func() netsim.Machine { return &degPingMachine{} }), crashAdv{node: 2, round: 4})
 		if err != nil {
 			t.Fatal(err)
@@ -502,7 +465,7 @@ func TestResolveTopology(t *testing.T) {
 	if _, err := ResolveTopology("nope", 16, 3); err == nil {
 		t.Error("unknown topology accepted")
 	}
-	if tp, err := ResolveTopology("", 8, 0); err != nil || !tp.clique {
+	if tp, err := ResolveTopology("", 8, 0); err != nil || tp.Ports() != nil {
 		t.Errorf("empty name should resolve to clique, got %v, %v", tp, err)
 	}
 }

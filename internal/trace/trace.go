@@ -36,8 +36,8 @@
 // again from the decoded events and rejects any trace whose footer
 // digest does not match. A trace that reads successfully is therefore a
 // checkable witness: it describes exactly the communication the engine
-// performed, byte-for-byte identical across the Sequential, Parallel,
-// and Actors engines at any worker count.
+// performed, byte-for-byte identical across the Sequential and Parallel
+// engines at any worker count.
 package trace
 
 import (

@@ -114,7 +114,7 @@ func recordRun(t *testing.T, mode netsim.RunMode, workers int, adv netsim.Advers
 // worker counts must yield byte-identical traces. Run with -race in CI.
 func TestCrossEngineTraceEquivalence(t *testing.T) {
 	ref, refRes := recordRun(t, netsim.Sequential, 1, testAdv())
-	for _, mode := range []netsim.RunMode{netsim.Sequential, netsim.Parallel, netsim.Actors} {
+	for _, mode := range []netsim.RunMode{netsim.Sequential, netsim.Parallel} {
 		for _, workers := range []int{0, 1, 2, 3, 7} {
 			got, res := recordRun(t, mode, workers, testAdv())
 			if res.Digest != refRes.Digest {
@@ -213,7 +213,7 @@ func TestTraceRoundTrip(t *testing.T) {
 // TestDiffIdentical diffs two recordings of the same run.
 func TestDiffIdentical(t *testing.T) {
 	a, _ := recordRun(t, netsim.Sequential, 1, testAdv())
-	b, _ := recordRun(t, netsim.Actors, 4, testAdv())
+	b, _ := recordRun(t, netsim.Parallel, 4, testAdv())
 	div, err := trace.Diff(bytes.NewReader(a), bytes.NewReader(b))
 	if err != nil {
 		t.Fatalf("Diff: %v", err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"sublinear/internal/graph"
-	"sublinear/internal/graphsim"
 	"sublinear/internal/metrics"
 	"sublinear/internal/netsim"
 	"sublinear/internal/rng"
@@ -183,10 +182,7 @@ func RunAgreement(g graph.Graph, seed uint64, params Params, inputs []int, adv n
 		}
 		machines[u] = &agreeMachine{params: p, walkLen: l, input: inputs[u]}
 	}
-	res, err := graphsim.Run(graphsim.Config{
-		Graph: g, Alpha: 1, Seed: seed, MaxRounds: 4*l + 8,
-		CongestFactor: 16, Strict: true,
-	}, machines, adv)
+	res, err := runOnGraph(g, seed, 4*l+8, machines, adv)
 	if err != nil {
 		return nil, fmt.Errorf("walk agreement: %w", err)
 	}

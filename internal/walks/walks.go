@@ -23,10 +23,10 @@ import (
 	"math"
 
 	"sublinear/internal/graph"
-	"sublinear/internal/graphsim"
 	"sublinear/internal/metrics"
 	"sublinear/internal/netsim"
 	"sublinear/internal/rng"
+	"sublinear/internal/topo"
 )
 
 // Params tunes the walk election.
@@ -121,8 +121,8 @@ type Output struct {
 	TokensHome int
 }
 
-// machine is the per-node walk-election state machine (graphsim, KT0: it
-// only uses Env.Deg and arrival ports).
+// machine is the per-node walk-election state machine (KT0 on a general
+// graph: it only uses Env.Deg and arrival ports).
 type machine struct {
 	params    Params
 	walkLen   int
@@ -297,10 +297,7 @@ func Run(g graph.Graph, seed uint64, params Params, adv netsim.Adversary) (*Resu
 	}
 	// Round budget: out + back plus queue-contention slack.
 	maxRounds := 4*l + 8
-	res, err := graphsim.Run(graphsim.Config{
-		Graph: g, Alpha: 1, Seed: seed, MaxRounds: maxRounds,
-		CongestFactor: 16, Strict: true,
-	}, machines, adv)
+	res, err := runOnGraph(g, seed, maxRounds, machines, adv)
 	if err != nil {
 		return nil, fmt.Errorf("walk election: %w", err)
 	}
@@ -320,6 +317,19 @@ func Run(g graph.Graph, seed uint64, params Params, adv netsim.Adversary) (*Resu
 	}
 	out.Eval = evaluate(out.Outputs, res.CrashedAt)
 	return out, nil
+}
+
+// runOnGraph compiles g and executes the machines on its port table
+// with the sequential engine, under the walk protocols' CONGEST budget.
+func runOnGraph(g graph.Graph, seed uint64, maxRounds int, machines []netsim.Machine, adv netsim.Adversary) (*netsim.Result, error) {
+	tp, err := topo.Compile(g)
+	if err != nil {
+		return nil, err
+	}
+	return netsim.Execute(netsim.Sequential, netsim.Config{
+		N: tp.N(), Ports: tp.Ports(), Alpha: 1, Seed: seed, MaxRounds: maxRounds,
+		CongestFactor: 16, Strict: true,
+	}, machines, adv)
 }
 
 func evaluate(outputs []Output, crashedAt []int) Eval {

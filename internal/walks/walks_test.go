@@ -209,6 +209,6 @@ func TestWalkParamsDefaults(t *testing.T) {
 func TestWalkTokenBits(t *testing.T) {
 	tok := walkToken{}
 	if tok.Bits(1024) > 16*10 {
-		t.Fatalf("token is %d bits — over the graphsim budget", tok.Bits(1024))
+		t.Fatalf("token is %d bits — over the walk CONGEST budget", tok.Bits(1024))
 	}
 }

@@ -104,21 +104,17 @@ type Options struct {
 	// Tuning overrides the paper's constants; the zero value is the
 	// defaults.
 	Tuning Tuning
-	// Concurrent runs node state machines on a worker pool with a round
-	// barrier.
+	// Concurrent runs the sharded pipeline on a worker pool with a
+	// round barrier (netsim.Parallel) instead of the sequential engine.
+	// Both produce identical results for identical seeds.
 	Concurrent bool
-	// Actors selects netsim.Actors, which is now a compatibility alias
-	// for the Parallel sharded pipeline (the goroutine-per-node engine
-	// is retired; see the netsim.RunMode docs). Overrides Concurrent.
-	// All engine modes produce identical results for identical seeds.
-	Actors bool
 	// TCP runs the protocol over real TCP loopback sockets with the
 	// binary wire codec instead of the in-memory simulator: one socket
 	// per node, a hub enforcing the round structure, identical model
 	// semantics — the socket engine (internal/realnet) produces the
 	// same execution digest as the simulator for the same seed and
 	// schedule. Intended for modest n (every round is n socket
-	// round-trips). Overrides Concurrent and Actors.
+	// round-trips). Overrides Concurrent.
 	TCP bool
 	// Record keeps the message trace (needed for influence-cloud
 	// analysis; costs memory). Not available over TCP.
@@ -240,16 +236,15 @@ func (opts Options) runConfig() (core.RunConfig, error) {
 	params := opts.Tuning
 	params.Explicit = params.Explicit || opts.Explicit
 	cfg := core.RunConfig{
-		N:          opts.N,
-		Alpha:      opts.Alpha,
-		Seed:       opts.Seed,
-		Params:     params,
-		Record:     opts.Record,
-		Tracer:     opts.Tracer,
-		Concurrent: opts.Concurrent,
+		N:      opts.N,
+		Alpha:  opts.Alpha,
+		Seed:   opts.Seed,
+		Params: params,
+		Record: opts.Record,
+		Tracer: opts.Tracer,
 	}
-	if opts.Actors {
-		cfg.Mode = netsim.Actors
+	if opts.Concurrent {
+		cfg.Mode = netsim.Parallel
 	}
 	if opts.Faults == nil {
 		return cfg, nil
