@@ -1,5 +1,5 @@
 // Command experiments regenerates the paper-reproduction experiments
-// E1–E11 (see DESIGN.md for the index and EXPERIMENTS.md for recorded
+// E1–E14 (see DESIGN.md for the index and EXPERIMENTS.md for recorded
 // results).
 //
 // Usage:
@@ -29,7 +29,7 @@ func main() {
 func run() error {
 	var (
 		list   = flag.Bool("list", false, "list experiments and exit")
-		runID  = flag.String("run", "", "experiment ID (E1..E11), or 'all'")
+		runID  = flag.String("run", "", "experiment ID (E1..E14), or 'all'")
 		quick  = flag.Bool("quick", false, "smaller sweeps and repetition counts")
 		seed   = flag.Uint64("seed", 0, "seed base offset for independent re-runs")
 		csvDir = flag.String("csv", "", "also write every table as CSV into this directory")

@@ -3,69 +3,43 @@ package realnet
 import (
 	"fmt"
 	"net"
-	"sync"
 
 	"sublinear/internal/metrics"
 	"sublinear/internal/netsim"
 	"sublinear/internal/wire"
 )
 
-// hub is the round-barrier coordinator: it owns the listener, one
-// connection per node, and the single-threaded replica of the
-// simulator's round pipeline. Socket I/O (shipping ROUND frames, reading
-// OUTBOX frames) fans out per node, but everything the digest, counters,
-// tracer, and adversary observe runs on the hub goroutine in ascending
-// node order — the exact event order of the Sequential engine, which is
-// what makes the digests byte-equal.
-type hub struct {
-	cfg       Config
-	spec      systemSpec
-	ln        net.Listener
-	bitBudget int
-
-	conns      []*nodeConn
-	counters   metrics.Counters
-	acc        *netsim.DigestAccumulator
-	crashedAt  []int
-	done       []bool
-	next       [][]delivery // per receiver, deliveries for the coming round
-	violations []netsim.Violation
-	outputs    []any
-	portSeen   []uint64 // duplicate-port bitset, cleared after each sender
-	scratch    []byte
-}
-
-// delivery is one routed message awaiting its receiver's next round.
-type delivery struct {
-	port int // arrival port at the receiver
-	body []byte
-}
-
-// nodeConn is the hub's end of one node connection, plus the kind-id
-// remap built from the node's HELLO: remote dense ids index this table,
-// which carries the hub-local interned Kind, its content hash, and the
-// name (for violation messages). In-process the remap is the identity;
-// across processes it bridges two independently-grown intern tables.
-type nodeConn struct {
+// remote is the coordinator's end of one node connection, stepped by
+// netsim's pipeline as that node's Machine: Step is one ROUND/OUTBOX
+// round trip, and everything order-sensitive stays in the pipeline.
+// kinds remaps the node's dense kind ids (announced in its HELLO) to
+// coordinator-local interned kinds: in-process the remap is the
+// identity; across processes it bridges two independently grown intern
+// tables.
+type remote struct {
+	id    int
 	c     net.Conn
 	kinds []kindEntry
+	chaos func(round, node int) bool
+	done  bool  // done flag of the node's last OUTBOX
+	lost  int   // round the connection died in; 0 while it is healthy
+	err   error // protocol error that retired the node as lost
+	buf   []byte
 }
 
 type kindEntry struct {
 	name  string
 	local metrics.Kind
-	hash  uint64
 }
 
-// wirePayload is the hub-side view of a payload: the sender's declared
-// kind, bit size, and opaque body. It implements netsim.Payload (and
-// Kinded) so adversaries, budget checks, and violation messages see
-// exactly what the simulator's in-memory payload would show, without the
-// hub ever decoding protocol contents.
+// wirePayload is the coordinator's view of a payload: the sender's
+// declared kind and bit size plus its opaque encoded body. It
+// implements netsim.Payload and Kinded, so the pipeline validates,
+// accounts and digests it exactly like the in-memory payload, and
+// routes the body to the receiver without decoding it.
 type wirePayload struct {
 	name string
 	kind metrics.Kind
-	hash uint64
 	bits int
 	body []byte
 }
@@ -74,38 +48,174 @@ func (p wirePayload) Bits(int) int         { return p.bits }
 func (p wirePayload) Kind() string         { return p.name }
 func (p wirePayload) KindID() metrics.Kind { return p.kind }
 
-func newHub(cfg Config, spec systemSpec, ln net.Listener) *hub {
-	n := cfg.N
-	return &hub{
-		cfg:       cfg,
-		spec:      spec,
-		ln:        ln,
-		bitBudget: netsim.PerMessageBudget(n, cfg.CongestFactor),
-		conns:     make([]*nodeConn, n),
-		acc:       netsim.NewDigestAccumulator(),
-		crashedAt: make([]int, n),
-		done:      make([]bool, n),
-		next:      make([][]delivery, n),
-		outputs:   make([]any, n),
-		portSeen:  make([]uint64, (n+63)/64),
+// Step runs the node's round: ChaosKill first, then the ROUND/OUTBOX
+// exchange. A dead connection or a protocol error marks the node lost
+// with an empty outbox, and lossAdversary crashes it this round.
+func (r *remote) Step(env *netsim.Env, round int, inbox []netsim.Delivery) []netsim.Send {
+	if r.chaos != nil && r.chaos(round, r.id) {
+		r.c.Close()
 	}
+	sends, annots, err := r.exchange(round, inbox)
+	if err != nil {
+		r.lost = round
+		if !isConnError(err) {
+			r.err = fmt.Errorf("realnet: node %d round %d: %w", r.id, round, err)
+		}
+		return nil
+	}
+	for _, a := range annots {
+		env.Annotate(a)
+	}
+	return sends
 }
 
-// run drives the whole execution: handshakes, the round loop, and the
-// final output collection. On return every connection and the listener
-// are closed.
-func (h *hub) run() (*netsim.Result, error) {
-	n := h.cfg.N
+func (r *remote) Done() bool { return r.done }
+
+// Output is nil: retire collects the node's output after the run.
+func (r *remote) Output() any { return nil }
+
+// exchange ships the round's deliveries and decodes the OUTBOX reply.
+// Send payloads become wirePayloads carrying the coordinator-local
+// remap of the sender's declared kind; their bodies alias the frame,
+// which is freshly allocated per read.
+func (r *remote) exchange(round int, inbox []netsim.Delivery) (sends []netsim.Send, annots []string, err error) {
+	buf := wire.AppendUvarint(r.buf[:0], uint64(round))
+	buf = wire.AppendUvarint(buf, uint64(len(inbox)))
+	for _, d := range inbox {
+		body := d.Payload.(wirePayload).body
+		buf = wire.AppendUvarint(buf, uint64(d.Port))
+		buf = wire.AppendUvarint(buf, uint64(len(body)))
+		buf = append(buf, body...)
+	}
+	r.buf = buf
+	if err := wire.WriteTypedFrame(r.c, frameRound, buf); err != nil {
+		return nil, nil, err
+	}
+	body, err := readFrameOf(r.c, frameOutbox)
+	if err != nil {
+		return nil, nil, err
+	}
+	echo, body, err := wire.Uvarint(body)
+	if err != nil {
+		return nil, nil, err
+	}
+	if echo != uint64(round) {
+		return nil, nil, fmt.Errorf("realnet: outbox for round %d in round %d", echo, round)
+	}
+	if r.done, body, err = wire.Bool(body); err != nil {
+		return nil, nil, err
+	}
+	acount, body, err := wire.Uvarint(body)
+	if err != nil {
+		return nil, nil, err
+	}
+	for i := uint64(0); i < acount; i++ {
+		var a string
+		if a, body, err = parseString(body); err != nil {
+			return nil, nil, err
+		}
+		annots = append(annots, a)
+	}
+	count, body, err := wire.Uvarint(body)
+	if err != nil {
+		return nil, nil, err
+	}
+	for i := uint64(0); i < count; i++ {
+		var port, bits int64
+		if port, body, err = wire.Varint(body); err != nil {
+			return nil, nil, err
+		}
+		var kid metrics.Kind
+		if kid, body, err = wire.Kind(body, len(r.kinds)); err != nil {
+			return nil, nil, err
+		}
+		if bits, body, err = wire.Varint(body); err != nil {
+			return nil, nil, err
+		}
+		var blen uint64
+		if blen, body, err = wire.Uvarint(body); err != nil {
+			return nil, nil, err
+		}
+		if blen > uint64(len(body)) {
+			return nil, nil, fmt.Errorf("realnet: send body of %d bytes overruns frame: %w", blen, wire.ErrShortBuffer)
+		}
+		ent := r.kinds[kid]
+		sends = append(sends, netsim.Send{
+			Port:    int(port),
+			Payload: wirePayload{name: ent.name, kind: ent.local, bits: int(bits), body: body[:blen:blen]},
+		})
+		body = body[blen:]
+	}
+	return sends, annots, nil
+}
+
+// retire ends the node's run after the pipeline has returned: a CRASH
+// frame carrying its crash round, or STOP, then the OUTPUT exchange. A
+// lost node is not contacted. The result is nil unless the node shipped
+// its output as gob; in-process runs recover it from the node goroutine
+// instead.
+func (r *remote) retire(crashedAt int) any {
+	if r.lost != 0 {
+		return nil
+	}
+	kind, body := frameStop, []byte(nil)
+	if crashedAt != 0 {
+		kind, body = frameCrash, wire.AppendUvarint(nil, uint64(crashedAt))
+	}
+	if wire.WriteTypedFrame(r.c, kind, body) != nil {
+		return nil
+	}
+	out, err := readFrameOf(r.c, frameOutput)
+	if err != nil {
+		return nil
+	}
+	if hasGob, out, err := wire.Bool(out); err == nil && hasGob {
+		// An undecodable output stays nil, which Serve reports as
+		// a node that delivered no output.
+		v, _ := decodeOutput(out)
+		return v
+	}
+	return nil
+}
+
+// lossAdversary folds connection loss into the pipeline's crash path.
+// It reports every node faulty, so the pipeline consults it for every
+// live node in every round. It crashes a node whose connection died in
+// this round's Step; that node's outbox is empty, so no DeliverOnCrash
+// follows. Every other call goes to the run's adversary, for the nodes
+// it calls faulty. It is not a CrashPlanner, since a loss can come in
+// any round.
+type lossAdversary struct {
+	adv    netsim.Adversary
+	faulty []bool // adv's static faulty set
+	nodes  []*remote
+}
+
+func (a *lossAdversary) Faulty(int) bool { return true }
+
+func (a *lossAdversary) CrashNow(u, round int, outbox []netsim.Send) bool {
+	return a.nodes[u].lost != 0 || a.faulty[u] && a.adv.CrashNow(u, round, outbox)
+}
+
+func (a *lossAdversary) DeliverOnCrash(u, round, i int, s netsim.Send) bool {
+	return a.adv.DeliverOnCrash(u, round, i, s)
+}
+
+// serve runs one execution on ln: the handshakes, the rounds on
+// netsim's pipeline, then every node's retirement. On return every
+// connection and the listener are closed.
+func serve(cfg Config, spec systemSpec, ln net.Listener) (*netsim.Result, error) {
+	n := cfg.N
+	nodes := make([]*remote, n)
 	defer func() {
-		h.ln.Close()
-		for _, c := range h.conns {
-			if c != nil {
-				c.c.Close()
+		ln.Close()
+		for _, r := range nodes {
+			if r != nil {
+				r.c.Close()
 			}
 		}
 	}()
-
-	if err := h.accept(); err != nil {
+	if err := accept(cfg, spec, ln, nodes); err != nil {
 		return nil, err
 	}
 	// The run is full: keep the listener draining so late or repeated
@@ -114,7 +224,7 @@ func (h *hub) run() (*netsim.Result, error) {
 	// identified by arrival order, so a revenant cannot reclaim its slot.
 	go func() {
 		for {
-			c, err := h.ln.Accept()
+			c, err := ln.Accept()
 			if err != nil {
 				return
 			}
@@ -122,187 +232,45 @@ func (h *hub) run() (*netsim.Result, error) {
 		}
 	}()
 
-	adv := h.cfg.Adversary
+	adv := cfg.Adversary
 	if adv == nil {
 		adv = netsim.NoFaults{}
 	}
-	tracer := h.cfg.Tracer
-	h.counters.ReserveRounds(h.cfg.MaxRounds)
-
-	outboxes := make([][]netsim.Send, n)
-	annots := make([][]string, n)
-	alive := make([]bool, n)       // stepped this round
-	deadNow := make([]bool, n)     // connection lost this round, unscheduled
-	crashingNow := make([]bool, n) // adversary crash this round
-	keep := make([][]bool, n)
-	errs := make([]error, n)
-
-	for round := 1; round <= h.cfg.MaxRounds; round++ {
-		h.counters.BeginRound(round)
-		h.acc.Round(round)
-		if tracer != nil {
-			tracer.TraceRound(round)
-		}
-
-		if h.cfg.ChaosKill != nil {
-			for u := 0; u < n; u++ {
-				if h.crashedAt[u] == 0 && h.cfg.ChaosKill(round, u) {
-					h.conns[u].c.Close()
-				}
-			}
-		}
-
-		// Ship deliveries and collect outboxes. Writes are sequential
-		// (frames are small; the nodes all read eagerly), reads fan out so
-		// one slow node does not serialize the barrier.
-		for u := 0; u < n; u++ {
-			alive[u], deadNow[u], crashingNow[u] = false, false, false
-			outboxes[u], annots[u], errs[u] = nil, nil, nil
-			if h.crashedAt[u] != 0 {
-				continue
-			}
-			if err := h.sendRound(u, round); err != nil {
-				if isConnError(err) {
-					deadNow[u] = true
-					continue
-				}
-				return nil, fmt.Errorf("realnet: round %d to node %d: %w", round, u, err)
-			}
-			alive[u] = true
-		}
-		var wg sync.WaitGroup
-		for u := 0; u < n; u++ {
-			if !alive[u] {
-				continue
-			}
-			wg.Add(1)
-			go func(u int) {
-				defer wg.Done()
-				outboxes[u], h.done[u], annots[u], errs[u] = h.conns[u].readOutbox(round)
-			}(u)
-		}
-		wg.Wait()
-		for u := 0; u < n; u++ {
-			if errs[u] == nil {
-				continue
-			}
-			if isConnError(errs[u]) {
-				alive[u], deadNow[u] = false, true
-				outboxes[u], annots[u] = nil, nil
-				continue
-			}
-			return nil, fmt.Errorf("realnet: outbox of node %d round %d: %w", u, round, errs[u])
-		}
-
-		// Pass A: crash decisions, ascending node order — the exact
-		// adversary call sequence of the simulator, including the rule
-		// that out-of-range ports never reach DeliverOnCrash.
-		inFlight := false
-		for u := 0; u < n; u++ {
-			if !alive[u] {
-				continue
-			}
-			outbox := outboxes[u]
-			if len(outbox) > 0 {
-				inFlight = true
-			}
-			if h.crashedAt[u] == 0 && adv.Faulty(u) && adv.CrashNow(u, round, outbox) {
-				crashingNow[u] = true
-				h.crashedAt[u] = round
-				mask := keep[u]
-				if cap(mask) < len(outbox) {
-					mask = make([]bool, len(outbox))
-				} else {
-					mask = mask[:len(outbox)]
-				}
-				for i, s := range outbox {
-					mask[i] = s.Port >= 1 && s.Port < n && adv.DeliverOnCrash(u, round, i, s)
-				}
-				keep[u] = mask
-			}
-		}
-
-		// Passes B+D, merged: validate, account, digest, route, and trace
-		// each sender in ascending order — single-threaded, so the merged
-		// sweep is literally the sequential engine's event order.
-		for u := 0; u < n; u++ {
-			if deadNow[u] {
-				// Unscheduled connection loss, detected at this round's
-				// barrier: record it as a crash, exactly where a scheduled
-				// crash would fold. The outbox (if any) died with the socket.
-				h.crashedAt[u] = round
-				h.acc.Crash(u, round)
-				if tracer != nil {
-					tracer.TraceCrash(u, round)
-				}
-				h.conns[u].c.Close()
-				continue
-			}
-			if !alive[u] {
-				continue
-			}
-			if crashingNow[u] {
-				h.acc.Crash(u, round)
-				if tracer != nil {
-					tracer.TraceCrash(u, round)
-				}
-			}
-			if len(outboxes[u]) > 0 {
-				if err := h.processSender(u, round, outboxes[u], crashingNow[u], keep[u]); err != nil {
-					return nil, err
-				}
-			}
-			if tracer != nil {
-				for _, a := range annots[u] {
-					tracer.TraceAnnotation(u, round, a)
-				}
-			}
-			if crashingNow[u] {
-				// The crash kills the connection mid-round; the machine's
-				// frozen output rides the final exchange when the socket is
-				// still healthy enough to deliver it.
-				h.retire(u, frameCrash, round)
-			}
-		}
-
-		if !inFlight && h.allQuiet() {
-			break
+	loss := &lossAdversary{adv: adv, faulty: make([]bool, n), nodes: nodes}
+	machines := make([]netsim.Machine, n)
+	for u, r := range nodes {
+		r.chaos = cfg.ChaosKill
+		loss.faulty[u] = adv.Faulty(u)
+		machines[u] = r
+	}
+	res, err := netsim.Execute(netsim.Parallel, netsim.Config{
+		N: n, Alpha: cfg.Alpha, Seed: cfg.Seed, MaxRounds: cfg.MaxRounds,
+		CongestFactor: cfg.CongestFactor, Strict: cfg.Strict,
+		Workers: n, Tracer: cfg.Tracer,
+	}, machines, loss)
+	// A protocol error retired its node no later than any strict-mode
+	// abort, so the earliest one is the run's error.
+	var failed *remote
+	for _, r := range nodes {
+		if r.err != nil && (failed == nil || r.lost < failed.lost) {
+			failed = r
 		}
 	}
-
-	for u := 0; u < n; u++ {
-		if h.crashedAt[u] == 0 {
-			h.retire(u, frameStop, 0)
+	if failed != nil {
+		return nil, failed.err
+	}
+	if err != nil {
+		return nil, err
+	}
+	res.Faulty = loss.faulty
+	for u, r := range nodes {
+		res.Outputs[u] = r.retire(res.CrashedAt[u])
+		// An all-remote run gets every live node's output as gob.
+		if spec.name != "" && res.Outputs[u] == nil && res.CrashedAt[u] == 0 {
+			return nil, fmt.Errorf("realnet: node %d delivered no output", u)
 		}
 	}
-	if h.spec.name != "" {
-		// All-remote run: every output must have arrived as gob.
-		for u := 0; u < n; u++ {
-			if h.outputs[u] == nil && h.crashedAt[u] == 0 {
-				return nil, fmt.Errorf("realnet: node %d delivered no output", u)
-			}
-		}
-	}
-
-	faulty := make([]bool, n)
-	for u := 0; u < n; u++ {
-		faulty[u] = adv.Faulty(u)
-	}
-	rounds := h.counters.Rounds()
-	msgs, bits := h.counters.Messages(), h.counters.Bits()
-	digest := h.acc.Sum(rounds, msgs, bits)
-	if tracer != nil {
-		tracer.TraceFinish(rounds, msgs, bits, digest)
-	}
-	return &netsim.Result{
-		Outputs:    h.outputs,
-		CrashedAt:  h.crashedAt,
-		Faulty:     faulty,
-		Rounds:     rounds,
-		Counters:   &h.counters,
-		Violations: h.violations,
-		Digest:     digest,
-	}, nil
+	return res, nil
 }
 
 // accept handshakes the run's n connections in arrival order: arrival
@@ -310,10 +278,11 @@ func (h *hub) run() (*netsim.Result, error) {
 // does not consume a slot — a worker that lost the dial race against a
 // partially-bound coordinator closes its connections and redials the
 // whole batch, and those aborted dials must not poison the assembly.
-func (h *hub) accept() error {
+func accept(cfg Config, spec systemSpec, ln net.Listener, nodes []*remote) error {
 	localHash := codecTableHash()
-	for id := 0; id < h.cfg.N; id++ {
-		c, err := h.ln.Accept()
+	var buf []byte
+	for id := 0; id < cfg.N; id++ {
+		c, err := ln.Accept()
 		if err != nil {
 			return fmt.Errorf("realnet: accept node %d: %w", id, err)
 		}
@@ -339,225 +308,26 @@ func (h *hub) accept() error {
 			c.Close()
 			return fmt.Errorf("realnet: node %d payload codec table %#x differs from coordinator's %#x (mixed binaries?)", id, hel.codecHash, localHash)
 		}
-		nc := &nodeConn{c: c, kinds: make([]kindEntry, len(hel.kinds))}
+		r := &remote{id: id, c: c, kinds: make([]kindEntry, len(hel.kinds))}
 		for i, name := range hel.kinds {
-			local := metrics.InternKind(name)
-			nc.kinds[i] = kindEntry{name: name, local: local, hash: metrics.KindHash(local)}
+			r.kinds[i] = kindEntry{name: name, local: metrics.InternKind(name)}
 		}
-		h.scratch = appendWelcome(h.scratch[:0], welcome{
+		buf = appendWelcome(buf[:0], welcome{
 			hdr:       localHeader(),
 			id:        id,
-			n:         h.cfg.N,
-			maxRounds: h.cfg.MaxRounds,
-			alpha:     h.cfg.Alpha,
-			seed:      h.cfg.Seed,
-			tracing:   h.cfg.Tracer != nil,
-			system:    h.spec.name,
-			pOne:      h.spec.pOne,
+			n:         cfg.N,
+			maxRounds: cfg.MaxRounds,
+			alpha:     cfg.Alpha,
+			seed:      cfg.Seed,
+			tracing:   cfg.Tracer != nil,
+			system:    spec.name,
+			pOne:      spec.pOne,
 		})
-		if err := wire.WriteTypedFrame(c, frameWelcome, h.scratch); err != nil {
+		if err := wire.WriteTypedFrame(c, frameWelcome, buf); err != nil {
 			c.Close()
 			return fmt.Errorf("realnet: welcome to node %d: %w", id, err)
 		}
-		h.conns[id] = nc
+		nodes[id] = r
 	}
 	return nil
-}
-
-// sendRound ships node u its deliveries for the round and clears the
-// queue.
-func (h *hub) sendRound(u, round int) error {
-	buf := h.scratch[:0]
-	buf = wire.AppendUvarint(buf, uint64(round))
-	buf = wire.AppendUvarint(buf, uint64(len(h.next[u])))
-	for _, d := range h.next[u] {
-		buf = wire.AppendUvarint(buf, uint64(d.port))
-		buf = wire.AppendUvarint(buf, uint64(len(d.body)))
-		buf = append(buf, d.body...)
-	}
-	h.scratch = buf
-	h.next[u] = h.next[u][:0]
-	return wire.WriteTypedFrame(h.conns[u].c, frameRound, buf)
-}
-
-// readOutbox reads and decodes one OUTBOX frame. Send payloads become
-// wirePayloads carrying the hub-local remap of the sender's declared
-// kind; bodies are copied out of the frame buffer because they live
-// until the next round's delivery.
-func (nc *nodeConn) readOutbox(round int) (sends []netsim.Send, done bool, annots []string, err error) {
-	body, err := readFrameOf(nc.c, frameOutbox)
-	if err != nil {
-		return nil, false, nil, err
-	}
-	echo, body, err := wire.Uvarint(body)
-	if err != nil {
-		return nil, false, nil, err
-	}
-	if echo != uint64(round) {
-		return nil, false, nil, fmt.Errorf("realnet: outbox for round %d in round %d", echo, round)
-	}
-	if done, body, err = wire.Bool(body); err != nil {
-		return nil, false, nil, err
-	}
-	acount, body, err := wire.Uvarint(body)
-	if err != nil {
-		return nil, false, nil, err
-	}
-	for i := uint64(0); i < acount; i++ {
-		var a string
-		if a, body, err = parseString(body); err != nil {
-			return nil, false, nil, err
-		}
-		annots = append(annots, a)
-	}
-	count, body, err := wire.Uvarint(body)
-	if err != nil {
-		return nil, false, nil, err
-	}
-	for i := uint64(0); i < count; i++ {
-		var port, bits int64
-		if port, body, err = wire.Varint(body); err != nil {
-			return nil, false, nil, err
-		}
-		var kid metrics.Kind
-		if kid, body, err = wire.Kind(body, len(nc.kinds)); err != nil {
-			return nil, false, nil, err
-		}
-		if bits, body, err = wire.Varint(body); err != nil {
-			return nil, false, nil, err
-		}
-		var blen uint64
-		if blen, body, err = wire.Uvarint(body); err != nil {
-			return nil, false, nil, err
-		}
-		if blen > uint64(len(body)) {
-			return nil, false, nil, fmt.Errorf("realnet: send body of %d bytes overruns frame: %w", blen, wire.ErrShortBuffer)
-		}
-		ent := nc.kinds[kid]
-		sends = append(sends, netsim.Send{
-			Port: int(port),
-			Payload: wirePayload{
-				name: ent.name,
-				kind: ent.local,
-				hash: ent.hash,
-				bits: int(bits),
-				body: append([]byte(nil), body[:blen]...),
-			},
-		})
-		body = body[blen:]
-	}
-	return sends, done, annots, nil
-}
-
-// processSender replicates the simulator's per-sender sweep: validation
-// in the same order with the same reason strings, accounting of every
-// counted message (sent or lost to the crash), digest lane folding, and
-// routing of surviving messages to their receivers' queues.
-func (h *hub) processSender(u, round int, outbox []netsim.Send, crashing bool, keep []bool) error {
-	n := h.cfg.N
-	tracer := h.cfg.Tracer
-	checkDup := len(outbox) > 1
-	for i, s := range outbox {
-		if s.Port < 1 || s.Port >= n {
-			reason := fmt.Sprintf("port %d out of range", s.Port)
-			if tracer != nil {
-				tracer.TraceViolation(u, round, reason)
-			}
-			if err := h.violate(u, round, reason); err != nil {
-				return err
-			}
-			continue
-		}
-		if checkDup {
-			word, bit := uint(s.Port)>>6, uint64(1)<<(uint(s.Port)&63)
-			if h.portSeen[word]&bit != 0 {
-				reason := fmt.Sprintf("two messages on port %d in one round", s.Port)
-				if tracer != nil {
-					tracer.TraceViolation(u, round, reason)
-				}
-				if err := h.violate(u, round, reason); err != nil {
-					return err
-				}
-			}
-			h.portSeen[word] |= bit
-		}
-		wp := s.Payload.(wirePayload)
-		sz := wp.bits
-		if sz > h.bitBudget {
-			reason := fmt.Sprintf("payload %q is %d bits, budget %d", wp.name, sz, h.bitBudget)
-			if tracer != nil {
-				tracer.TraceViolation(u, round, reason)
-			}
-			if err := h.violate(u, round, reason); err != nil {
-				return err
-			}
-		}
-		// A message counts toward message complexity even if the sender's
-		// crash loses it — the paper counts messages sent.
-		h.counters.AddKind(wp.kind, sz)
-		dropped := crashing && !keep[i]
-		h.acc.Message(u, s.Port, wp.hash, sz, dropped)
-		if tracer != nil {
-			tracer.TraceMessage(u, round, s.Port, wp.kind, sz, dropped)
-		}
-		if dropped {
-			continue
-		}
-		v := (u + s.Port) % n
-		h.next[v] = append(h.next[v], delivery{port: netsim.ArrivalPort(n, u, v), body: wp.body})
-	}
-	if checkDup {
-		for _, s := range outbox {
-			if s.Port >= 1 && s.Port < n {
-				h.portSeen[uint(s.Port)>>6] &^= uint64(1) << (uint(s.Port) & 63)
-			}
-		}
-	}
-	return nil
-}
-
-func (h *hub) violate(u, round int, reason string) error {
-	if h.cfg.Strict {
-		return fmt.Errorf("realnet: node %d round %d: %s", u, round, reason)
-	}
-	h.violations = append(h.violations, netsim.Violation{Node: u, Round: round, Reason: reason})
-	return nil
-}
-
-func (h *hub) allQuiet() bool {
-	for u := 0; u < h.cfg.N; u++ {
-		if h.crashedAt[u] == 0 && !h.done[u] {
-			return false
-		}
-	}
-	return true
-}
-
-// retire ends node u's run: a CRASH (mid-round, with the round number)
-// or STOP frame, then the OUTPUT exchange, then the socket closes. A
-// connection too dead for the exchange just closes — in-process runs
-// recover the output from the node goroutine instead, and all-remote
-// runs surface the gap after the loop.
-func (h *hub) retire(u int, kind byte, round int) {
-	c := h.conns[u].c
-	defer c.Close()
-	h.next[u] = nil
-	var body []byte
-	if kind == frameCrash {
-		body = wire.AppendUvarint(nil, uint64(round))
-	}
-	if err := wire.WriteTypedFrame(c, kind, body); err != nil {
-		return
-	}
-	out, err := readFrameOf(c, frameOutput)
-	if err != nil {
-		return
-	}
-	hasGob, out, err := wire.Bool(out)
-	if err != nil || !hasGob {
-		return
-	}
-	if v, err := decodeOutput(out); err == nil {
-		h.outputs[u] = v
-	}
 }

@@ -83,11 +83,10 @@ func Serve(cfg Config, spec SystemSpec, ln net.Listener) (*netsim.Result, error)
 	if spec.Name == "" {
 		return nil, fmt.Errorf("realnet: Serve needs a system name for the workers")
 	}
-	h := newHub(cfg, systemSpec{name: spec.Name, pOne: spec.POne}, ln)
 	if cfg.OnListen != nil {
 		cfg.OnListen(ln.Addr().String())
 	}
-	return h.run()
+	return serve(cfg, systemSpec{name: spec.Name, pOne: spec.POne}, ln)
 }
 
 // Join connects nodes worker connections to a coordinator at addr and

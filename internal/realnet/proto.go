@@ -21,7 +21,7 @@ import (
 //	hub → node   WELCOME  header echo, node id, run parameters, system spec
 //	hub → node   ROUND    round number + this node's deliveries
 //	node → hub   OUTBOX   round echo, done flag, annotations, sends
-//	hub → node   CRASH    the adversary crashed this node mid-round
+//	hub → node   CRASH    at run end: the adversary crashed this node in round r
 //	hub → node   STOP     the run quiesced or hit its horizon
 //	node → hub   OUTPUT   the machine's final (or crash-frozen) output
 const (

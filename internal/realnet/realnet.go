@@ -2,27 +2,34 @@
 // the same contract — and the same execution digest — as the in-process
 // engines.
 //
-// The engine is a round-barrier coordinator (the hub) plus one
-// connection per node. In-process runs (Run) spawn a goroutine per node
-// that dials the hub over loopback; multi-process runs (Serve/Join, and
-// cmd/realnode on top of them) put the same node loop in worker
-// processes, so an n=64 execution can span a docker-compose fleet while
-// the coordinator still observes one synchronous round structure.
+// The engine is a coordinator (the hub) plus one connection per node.
+// In-process runs (Run) spawn a goroutine per node that dials the hub
+// over loopback; multi-process runs (Serve/Join, and cmd/realnode on top
+// of them) put the same node loop in worker processes, so an n=64
+// execution can span a docker-compose fleet while the coordinator still
+// observes one synchronous round structure.
 //
-// Conformance is the point: for the same (config, machines, adversary)
-// triple, Run produces a netsim.Result whose Digest is byte-equal to the
-// Sequential engine's. The hub replicates the simulator's round pipeline
-// exactly — same adversary call sequence (Faulty/CrashNow/DeliverOnCrash
-// in ascending node order), same violation checks in the same order with
-// the same reason strings, same per-kind accounting, same digest fold
-// via netsim.DigestAccumulator, same Tracer event order. Crash faults
-// from a fault.Schedule are physical here: when the adversary crashes a
-// node in round r, the hub applies the schedule's drop policy to the
-// node's last outbox and then closes the node's connection mid-round.
-// Conversely, a connection that dies without being scheduled (chaos, a
-// killed worker) is detected at the round barrier and recorded as a
-// crash event in the digest and trace, exactly where a scheduled crash
-// would fold.
+// Conformance holds by construction: the hub runs the execution on
+// netsim's own round pipeline (netsim.Parallel, one worker per node, so
+// every node's round trip overlaps). Each node connection is a remote
+// netsim.Machine whose Step ships the round's deliveries in a ROUND
+// frame and returns the node's OUTBOX as opaque payloads that carry
+// their kind and declared bit size. Validation, accounting, digest
+// folds, crash decisions, Tracer order and quiescence are the
+// pipeline's code, so for the same (config, machines, adversary) triple
+// Run produces a netsim.Result whose Digest is byte-equal to the
+// Sequential engine's, and an adversary that is not a CrashPlanner sees
+// the Sequential engine's exact CrashNow/DeliverOnCrash call sequence.
+//
+// A node the adversary crashes in round r gets no ROUND frame after r.
+// Its CRASH frame, carrying r, comes once the pipeline returns; the node
+// then hands back its crash-frozen output and its socket closes. A
+// connection that dies without being scheduled (chaos, a killed worker)
+// fails that round's Step, and an adversary wrapper crashes the node in
+// the same round, so the loss folds into the digest and trace exactly
+// where a scheduled crash would. A protocol error, such as a malformed
+// OUTBOX, retires its node the same way and fails the run with an error
+// naming the node and round once the pipeline returns.
 //
 // The engine registers itself as netsim.RealNet, so callers that
 // dispatch through netsim.Execute (core, baseline, dst) reach sockets by
@@ -68,10 +75,11 @@ type Config struct {
 	// Tracer observes the run's event stream, in the exact order the
 	// Sequential engine would emit it.
 	Tracer netsim.Tracer
-	// ChaosKill, if set, is consulted at the start of each round for
-	// every live node; returning true force-closes the node's connection
-	// so the run exercises the unplanned-disconnect path: the hub must
-	// detect the loss at the round barrier and record it as a crash.
+	// ChaosKill, if set, is consulted at the start of each live node's
+	// round, concurrently across nodes; returning true force-closes the
+	// node's connection so the run exercises the unplanned-disconnect
+	// path: the hub must detect the loss in that round and record it as
+	// a crash.
 	ChaosKill func(round, node int) bool
 	// OnListen, if set, receives the coordinator's bound address before
 	// any node dials — tests use it to aim extra (rejected) connections
@@ -130,7 +138,6 @@ func Run(cfg Config, machines []netsim.Machine) (*netsim.Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("realnet: listen: %w", err)
 	}
-	h := newHub(cfg, systemSpec{}, ln)
 	if cfg.OnListen != nil {
 		cfg.OnListen(ln.Addr().String())
 	}
@@ -159,7 +166,7 @@ func Run(cfg Config, machines []netsim.Machine) (*netsim.Result, error) {
 		}()
 	}
 
-	res, runErr := h.run()
+	res, runErr := serve(cfg, systemSpec{}, ln)
 	// The hub has closed (or force-closed, on error) every connection, so
 	// all node goroutines terminate; their outputs fill the slots the
 	// socket could not deliver — crash-frozen state rides back in-process.

@@ -1,11 +1,13 @@
 package realnet_test
 
 // Engine unit tests: violation parity with the simulator, strict-mode
-// aborts, chaos (unplanned disconnect) detection, revenant rejection,
-// trace-stream equality, and configuration validation.
+// aborts, adversary call-sequence parity, chaos (unplanned disconnect)
+// detection, revenant rejection, trace-stream equality, and
+// configuration validation.
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"reflect"
 	"strings"
@@ -83,8 +85,7 @@ func TestViolationParity(t *testing.T) {
 }
 
 // TestStrictAbortParity: in strict mode both engines abort on the first
-// violation with the same classification; only the engine prefix of the
-// error differs.
+// violation through the same pipeline, so the errors are identical.
 func TestStrictAbortParity(t *testing.T) {
 	cfg := violatorConfig(true)
 	_, seqErr := netsim.Execute(netsim.Sequential, cfg, violatorMachines(cfg.N), nil)
@@ -92,10 +93,61 @@ func TestStrictAbortParity(t *testing.T) {
 	if seqErr == nil || realErr == nil {
 		t.Fatalf("strict run did not abort: sequential %v, realnet %v", seqErr, realErr)
 	}
-	seqMsg := strings.TrimPrefix(seqErr.Error(), "netsim: ")
-	realMsg := strings.TrimPrefix(realErr.Error(), "realnet: ")
-	if seqMsg != realMsg {
-		t.Errorf("abort classification diverges:\n  sequential: %s\n  realnet:    %s", seqMsg, realMsg)
+	if seqErr.Error() != realErr.Error() {
+		t.Errorf("abort errors diverge:\n  sequential: %s\n  realnet:    %s", seqErr, realErr)
+	}
+}
+
+// callLog forwards to a schedule adversary and records every CrashNow
+// and DeliverOnCrash call with its answer. Embedding the interface hides
+// the schedule's CrashPlanner, so no engine may skip a consultation.
+type callLog struct {
+	netsim.Adversary
+	calls []string
+}
+
+func (a *callLog) CrashNow(u, round int, outbox []netsim.Send) bool {
+	ok := a.Adversary.CrashNow(u, round, outbox)
+	a.calls = append(a.calls, fmt.Sprintf("CrashNow(%d, %d, %d sends) = %v", u, round, len(outbox), ok))
+	return ok
+}
+
+func (a *callLog) DeliverOnCrash(u, round, i int, s netsim.Send) bool {
+	ok := a.Adversary.DeliverOnCrash(u, round, i, s)
+	a.calls = append(a.calls, fmt.Sprintf("DeliverOnCrash(%d, %d, %d, port %d) = %v", u, round, i, s.Port, ok))
+	return ok
+}
+
+// TestAdversaryCallSequence: an adversary that is not a CrashPlanner
+// sees the identical CrashNow/DeliverOnCrash call sequence, answers
+// included, from the sequential engine and over sockets.
+func TestAdversaryCallSequence(t *testing.T) {
+	const n = 8
+	sched := fault.Schedule{N: n, Seed: 6, Crashes: []fault.Crash{
+		{Node: 2, Round: 2, Policy: fault.DropRandom},
+		{Node: 5, Round: 4, Policy: fault.DropHalf},
+	}}
+	record := func(mode netsim.RunMode) []string {
+		t.Helper()
+		adv, err := sched.Adversary()
+		if err != nil {
+			t.Fatalf("adversary: %v", err)
+		}
+		log := &callLog{Adversary: adv}
+		_, err = netsim.Execute(mode, netsim.Config{
+			N: n, Alpha: 0.5, Seed: 6, MaxRounds: chatRounds + 2,
+		}, chatterMachines(n, 2), log)
+		if err != nil {
+			t.Fatalf("%s: %v", netsim.EngineName(mode), err)
+		}
+		return log.calls
+	}
+	seq, real := record(netsim.Sequential), record(netsim.RealNet)
+	if !strings.Contains(strings.Join(seq, "\n"), "DeliverOnCrash") {
+		t.Fatalf("no DeliverOnCrash call in %q; test is vacuous", seq)
+	}
+	if !reflect.DeepEqual(seq, real) {
+		t.Errorf("adversary call sequences diverge:\n  sequential: %q\n  realnet:    %q", seq, real)
 	}
 }
 
