@@ -624,11 +624,25 @@ func (c *coordinator) runner(ctx context.Context, w WorkerInfo, client *Client, 
 	for {
 		// A tripped breaker rests the whole worker: every slot sleeps
 		// here before pulling more work, so a dead worker neither spins
-		// nor starves the queue (other workers keep draining it).
+		// nor starves the queue (other workers keep draining it). Once
+		// the window lapses the slot probes /healthz first; a failed
+		// probe trips the breaker again, so a dead worker cannot burn
+		// the attempt budget of every shard it pulls.
 		for {
 			d := br.remaining()
 			if d <= 0 {
-				break
+				if br.consecutiveFailures() == 0 {
+					break
+				}
+				_, err := client.Health(ctx)
+				if err == nil {
+					break
+				}
+				if ctx.Err() == nil {
+					c.cfg.Progress("fleet: health probe of %s failed: %v", w.URL, err)
+				}
+				br.failure()
+				continue
 			}
 			if c.cfg.sleep(ctx, d) != nil {
 				return

@@ -264,6 +264,40 @@ func TestJournalPartialTail(t *testing.T) {
 	}
 }
 
+// TestJournalEmptyFileOpensFresh: a coordinator killed after creating
+// its journal but before the header reached it leaves an empty file.
+// That file must open as a fresh journal and resume, not block every
+// later run of the plan.
+func TestJournalEmptyFileOpensFresh(t *testing.T) {
+	dir := t.TempDir()
+	plan, err := NewPlan(Workload{Kind: KindSweep, Sweep: testSweep(8), ShardReps: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(JournalPath(dir, plan), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, done, err := OpenJournal(dir, plan)
+	if err != nil {
+		t.Fatalf("empty journal did not open: %v", err)
+	}
+	if len(done) != 0 {
+		t.Fatalf("empty journal replayed %d entries", len(done))
+	}
+	if err := j.Record(1, &simsvc.JobResult{Success: 4, Reps: 4}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	j2, done, err := OpenJournal(dir, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j2.Close()
+	if len(done) != 1 || done[1] == nil || done[1].Success != 4 {
+		t.Fatalf("resumed journal replayed %v, want shard 1", done)
+	}
+}
+
 // TestJournalDuplicateRecordsLastWin pins the idempotent-replay
 // contract: the append path cannot promise exactly-once — a successor
 // coordinator can resume past a predecessor stalled mid-fsync, re-run

@@ -48,10 +48,10 @@ func FuzzWireFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed.Bytes())
-	f.Add(seed.Bytes()[:7])                                   // truncated mid-body
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3})            // oversized length prefix
-	f.Add([]byte{0, 0, 0, 1, 0})                              // zero frame kind
-	f.Add([]byte{0, 0, 0, 0})                                 // empty frame, no kind byte
+	f.Add(seed.Bytes()[:7])                                     // truncated mid-body
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3})              // oversized length prefix
+	f.Add([]byte{0, 0, 0, 1, 0})                                // zero frame kind
+	f.Add([]byte{0, 0, 0, 0})                                   // empty frame, no kind byte
 	f.Add(append([]byte{0, 0, 0, 3, 2}, AppendKind(nil, 9)...)) // kind id out of range
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
