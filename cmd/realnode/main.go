@@ -1,11 +1,13 @@
 // Command realnode runs one side of a multi-process socket execution of
-// the core protocols: a coordinator (the round-barrier hub) or a worker
-// holding a contiguous block of nodes. Workers rebuild machines, inputs
-// and coin streams from the coordinator's welcome frame alone, so the
-// only shared state is the (system, n, alpha, seed, pOne) tuple the
-// coordinator announces — the docker-compose example in
-// examples/realnet runs an n=64 election across four worker containers
-// this way.
+// any protocol in the registry (internal/dst) that runs on the complete
+// network: a coordinator (the round-barrier hub) or a worker holding a
+// contiguous block of nodes. Workers rebuild machines, inputs and coin
+// streams from the coordinator's welcome frame alone, so the only shared
+// state is the (system, n, alpha, seed, pOne) tuple the coordinator
+// announces — the docker-compose example in examples/realnet runs an
+// n=64 election across four worker containers this way. The topology
+// elections (d2election, wcelection) run on port tables, which the
+// socket engine refuses.
 //
 // Usage:
 //
@@ -29,8 +31,8 @@ import (
 	"syscall"
 	"time"
 
-	"sublinear/internal/core"
-	"sublinear/internal/netsim"
+	"sublinear/internal/dst"
+	"sublinear/internal/fault"
 	"sublinear/internal/realnet"
 	"sublinear/internal/trace"
 )
@@ -54,7 +56,7 @@ func run(args []string, out io.Writer) error {
 	var (
 		serve     = fs.Bool("serve", false, "run the coordinator")
 		listen    = fs.String("listen", "127.0.0.1:0", "coordinator listen address")
-		system    = fs.String("system", "election", "system under execution: election, agreement, or minagree")
+		system    = fs.String("system", "election", "system under execution: any complete-network system of dstrun -list")
 		n         = fs.Int("n", 64, "network size")
 		alpha     = fs.Float64("alpha", 0.8, "guaranteed fraction of non-faulty nodes")
 		seed      = fs.Uint64("seed", 1, "run seed; workers derive coins and inputs from it")
@@ -88,7 +90,8 @@ func run(args []string, out io.Writer) error {
 // protocol terminates, and optionally cross-checks the digest against
 // the sequential simulator.
 func coordinate(listen, system string, n int, alpha float64, seed uint64, pOne float64, verify bool, tracePath string, out io.Writer) error {
-	cfg, spec, err := core.RealnetSpec(system, n, alpha, seed, pOne)
+	c := dst.Case{System: system, N: n, Alpha: alpha, Seed: seed, POne: pOne, Schedule: fault.Schedule{N: n}}
+	cfg, spec, err := dst.RealnetConfig(c)
 	if err != nil {
 		return err
 	}
@@ -130,44 +133,19 @@ func coordinate(listen, system string, n int, alpha float64, seed uint64, pOne f
 	if !verify {
 		return nil
 	}
-	want, err := sequentialDigest(system, n, alpha, seed, pOne)
+	ref, failure, err := dst.CheckSequential(c)
+	if err == nil && failure != nil {
+		err = errors.New(failure.String())
+	}
 	if err != nil {
 		return fmt.Errorf("verify: %w", err)
 	}
-	if res.Digest != want {
-		fmt.Fprintf(out, "DIVERGENCE: socket digest %016x, simulator %016x\n", res.Digest, want)
+	if res.Digest != ref.Digest {
+		fmt.Fprintf(out, "DIVERGENCE: socket digest %016x, simulator %016x\n", res.Digest, ref.Digest)
 		return errDivergence
 	}
 	fmt.Fprintf(out, "verified: simulator digest matches\n")
 	return nil
-}
-
-// sequentialDigest replays the configuration on the in-process
-// sequential engine, deriving inputs exactly like the workers do.
-func sequentialDigest(system string, n int, alpha float64, seed uint64, pOne float64) (uint64, error) {
-	cfg := core.RunConfig{N: n, Alpha: alpha, Seed: seed, Mode: netsim.Sequential}
-	switch system {
-	case "election":
-		res, err := core.RunElection(cfg)
-		if err != nil {
-			return 0, err
-		}
-		return res.Digest, nil
-	case "agreement":
-		res, err := core.RunAgreement(cfg, core.DeriveAgreementInputs(n, seed, pOne))
-		if err != nil {
-			return 0, err
-		}
-		return res.Digest, nil
-	case "minagree":
-		res, err := core.RunMinAgreement(cfg, core.DeriveMinAgreementValues(n, seed))
-		if err != nil {
-			return 0, err
-		}
-		return res.Digest, nil
-	default:
-		return 0, fmt.Errorf("unknown system %q", system)
-	}
 }
 
 // worker joins the coordinator, retrying while it is not up yet — in a
@@ -175,7 +153,7 @@ func sequentialDigest(system string, n int, alpha float64, seed uint64, pOne flo
 func worker(addr string, nodes int, wait time.Duration, out io.Writer) error {
 	deadline := time.Now().Add(wait)
 	for {
-		err := realnet.Join(addr, nodes)
+		err := realnet.Join(addr, nodes, dst.Machines)
 		if err == nil {
 			fmt.Fprintf(out, "worker: %d nodes finished\n", nodes)
 			return nil

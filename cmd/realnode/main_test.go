@@ -13,8 +13,15 @@ import (
 
 // TestCoordinatorAndWorkersInProcess drives the flag surface end to
 // end: a coordinator goroutine plus two worker goroutines splitting
-// n=16, with -verify cross-checking the digest against the simulator.
+// n=16, with -verify cross-checking the digest against the simulator,
+// for a core protocol and a Table I comparator.
 func TestCoordinatorAndWorkersInProcess(t *testing.T) {
+	for _, system := range []string{"agreement", "gk"} {
+		t.Run(system, func(t *testing.T) { coordinateInProcess(t, system) })
+	}
+}
+
+func coordinateInProcess(t *testing.T, system string) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -26,7 +33,7 @@ func TestCoordinatorAndWorkersInProcess(t *testing.T) {
 	coordErr := make(chan error, 1)
 	go func() {
 		coordErr <- run([]string{
-			"-serve", "-listen", addr, "-system", "agreement",
+			"-serve", "-listen", addr, "-system", system,
 			"-n", "16", "-alpha", "1", "-seed", "7", "-verify",
 		}, &coordOut)
 	}()
@@ -122,6 +129,10 @@ func TestUsageErrors(t *testing.T) {
 	}
 	if err := run([]string{"-serve", "-system", "nope", "-n", "8", "-alpha", "1"}, &buf); err == nil {
 		t.Error("unknown system accepted")
+	}
+	if err := run([]string{"-serve", "-system", "d2election", "-n", "8", "-alpha", "1"}, &buf); err == nil ||
+		!strings.Contains(err.Error(), "complete network") {
+		t.Errorf("d2election: err = %v, want a refusal naming the complete network", err)
 	}
 }
 

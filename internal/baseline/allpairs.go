@@ -22,8 +22,6 @@ type AllPairsConfig struct {
 	Tracer netsim.Tracer
 	// F is the fault bound; the protocol runs F+1 rounds.
 	F int
-	// Alpha is engine bookkeeping; defaults to 1-F/N.
-	Alpha float64
 }
 
 // AllPairsOutput is a node's view after the flood.
@@ -82,27 +80,28 @@ func (m *allPairsMachine) Output() any {
 // rank. (The winner itself may have crashed — the classical weakness of
 // ID-flooding election, reported via Reason when it happens.)
 func RunAllPairs(cfg AllPairsConfig, adv netsim.Adversary) (*Result, error) {
-	if cfg.Alpha == 0 {
-		cfg.Alpha = 1 - float64(cfg.F)/float64(cfg.N)
-		if cfg.Alpha <= 0 {
-			cfg.Alpha = 1 / float64(cfg.N)
-		}
+	ecfg, machines := BuildAllPairs(cfg, runAlpha)
+	res, err := execute(cfg.Mode, ecfg, machines, adv)
+	if err != nil {
+		return nil, err
 	}
+	return EvaluateAllPairs(res)
+}
+
+// BuildAllPairs returns the engine configuration and the machines of one
+// flooding-election run.
+func BuildAllPairs(cfg AllPairsConfig, alpha float64) (netsim.Config, []netsim.Machine) {
 	machines := make([]netsim.Machine, cfg.N)
 	for u := range machines {
 		machines[u] = &allPairsMachine{endRound: cfg.F + 1}
 	}
-	res, err := runMachines(cfg.N, cfg.Alpha, cfg.Seed, cfg.F+2, 8, cfg.Mode, cfg.Tracer, machines, adv)
-	if err != nil {
-		return nil, err
-	}
-	out := &Result{
-		Outputs:   res.Outputs,
-		CrashedAt: res.CrashedAt,
-		Rounds:    res.Rounds,
-		Counters:  res.Counters,
-		Digest:    res.Digest,
-	}
+	return cliqueConfig(cfg.N, alpha, cfg.Seed, cfg.F+2, cfg.Tracer), machines
+}
+
+// EvaluateAllPairs judges a flooding-election run: all live nodes agree
+// on the winner rank.
+func EvaluateAllPairs(res *netsim.Result) (*Result, error) {
+	out := newResult(res)
 	var winner uint64
 	agree := true
 	liveElected := 0

@@ -20,10 +20,6 @@ type AMPConfig struct {
 	// Tracer, when non-nil, streams the run to an execution flight
 	// recorder (internal/trace); nil costs nothing.
 	Tracer netsim.Tracer
-	// CandidateFactor scales the candidate probability (default 6).
-	CandidateFactor float64
-	// RefereeFactor scales the referee sample (default 2).
-	RefereeFactor float64
 }
 
 // AMPOutput is a node's output: candidates decide, everyone else stays
@@ -41,7 +37,6 @@ type AMPOutput struct {
 // 0-biased min rule preserves validity, and pairwise common referees give
 // agreement w.h.p. — O(1) rounds, Õ(sqrt(n)) messages.
 type ampMachine struct {
-	cfg       AMPConfig
 	input     int
 	lastRound int
 
@@ -70,7 +65,7 @@ func (m *ampMachine) Step(env *netsim.Env, round int, inbox []netsim.Delivery) [
 	case 1:
 		m.minSeen = 1
 		m.value = m.input
-		prob := m.cfg.CandidateFactor * rng.LogN(env.N) / float64(env.N)
+		prob := candidateFactor * rng.LogN(env.N) / float64(env.N)
 		if prob > 1 {
 			prob = 1
 		}
@@ -78,7 +73,7 @@ func (m *ampMachine) Step(env *netsim.Env, round int, inbox []netsim.Delivery) [
 			return nil
 		}
 		m.isCandidate = true
-		k := int(math.Ceil(m.cfg.RefereeFactor * math.Sqrt(float64(env.N)*rng.LogN(env.N))))
+		k := int(math.Ceil(refereeFactor * math.Sqrt(float64(env.N)*rng.LogN(env.N))))
 		if k > env.N-1 {
 			k = env.N - 1
 		}
@@ -132,30 +127,34 @@ func (m *ampMachine) Output() any {
 // RunAMP executes the fault-free baseline agreement and evaluates it:
 // success means all candidates decide the same valid value.
 func RunAMP(cfg AMPConfig, inputs []int) (*Result, error) {
-	if cfg.CandidateFactor == 0 {
-		cfg.CandidateFactor = 6
-	}
-	if cfg.RefereeFactor == 0 {
-		cfg.RefereeFactor = 2
-	}
-	if len(inputs) != cfg.N {
-		return nil, fmt.Errorf("amp: %d inputs for N=%d", len(inputs), cfg.N)
-	}
-	machines := make([]netsim.Machine, cfg.N)
-	for u := range machines {
-		machines[u] = &ampMachine{cfg: cfg, input: inputs[u]}
-	}
-	res, err := runMachines(cfg.N, 1, cfg.Seed, 3, 8, cfg.Mode, cfg.Tracer, machines, nil)
+	ecfg, machines, err := BuildAMP(cfg, runAlpha, inputs)
 	if err != nil {
 		return nil, err
 	}
-	out := &Result{
-		Outputs:   res.Outputs,
-		CrashedAt: res.CrashedAt,
-		Rounds:    res.Rounds,
-		Counters:  res.Counters,
-		Digest:    res.Digest,
+	res, err := execute(cfg.Mode, ecfg, machines, nil)
+	if err != nil {
+		return nil, err
 	}
+	return EvaluateAMP(res, inputs)
+}
+
+// BuildAMP returns the engine configuration and the machines of one
+// fault-free sublinear agreement.
+func BuildAMP(cfg AMPConfig, alpha float64, inputs []int) (netsim.Config, []netsim.Machine, error) {
+	if len(inputs) != cfg.N {
+		return netsim.Config{}, nil, fmt.Errorf("amp: %d inputs for N=%d", len(inputs), cfg.N)
+	}
+	machines := make([]netsim.Machine, cfg.N)
+	for u := range machines {
+		machines[u] = &ampMachine{input: inputs[u]}
+	}
+	return cliqueConfig(cfg.N, alpha, cfg.Seed, 3, cfg.Tracer), machines, nil
+}
+
+// EvaluateAMP judges a sublinear-agreement run: all candidates decide
+// the same value, and it is some node's input.
+func EvaluateAMP(res *netsim.Result, inputs []int) (*Result, error) {
+	out := newResult(res)
 	haveInput := [2]bool{}
 	for _, in := range inputs {
 		haveInput[in] = true

@@ -46,22 +46,49 @@ type Result struct {
 	Value int64
 }
 
-// runMachines executes machines on the shared engine with the baseline
-// defaults (strict CONGEST with a generous factor for set-carrying
-// baselines).
-func runMachines(n int, alpha float64, seed uint64, maxRounds, congestFactor int, mode netsim.RunMode, tracer netsim.Tracer, machines []netsim.Machine, adv netsim.Adversary) (*netsim.Result, error) {
-	cfg := netsim.Config{
+// Each protocol comes as a Build, which returns the engine configuration
+// and the machines of one run, and an Evaluate, which judges the
+// finished run; its Run function executes the one and applies the
+// other. internal/dst registers the same Build and Evaluate, so every
+// consumer constructs a protocol the one way.
+
+// runAlpha is the alpha the Run functions build with. Alpha only fills
+// Env.Alpha, which no baseline machine reads, and the digest does not
+// fold it, so one admissible value serves every protocol.
+const runAlpha = 1
+
+// cliqueConfig is the engine configuration of a complete-network
+// baseline: strict CONGEST with a generous factor for set-carrying
+// baselines.
+func cliqueConfig(n int, alpha float64, seed uint64, maxRounds int, tracer netsim.Tracer) netsim.Config {
+	return netsim.Config{
 		N:             n,
 		Alpha:         alpha,
 		Seed:          seed,
 		MaxRounds:     maxRounds,
-		CongestFactor: congestFactor,
+		CongestFactor: 8,
 		Strict:        true,
 		Tracer:        tracer,
 	}
+}
+
+// execute runs a built protocol in the given mode.
+func execute(mode netsim.RunMode, cfg netsim.Config, machines []netsim.Machine, adv netsim.Adversary) (*netsim.Result, error) {
 	res, err := netsim.Execute(mode, cfg, machines, adv)
 	if err != nil {
 		return nil, fmt.Errorf("baseline run: %w", err)
 	}
 	return res, nil
+}
+
+// newResult carries an engine result's common fields into a Result
+// awaiting its verdict.
+func newResult(res *netsim.Result) *Result {
+	return &Result{
+		Outputs:   res.Outputs,
+		CrashedAt: res.CrashedAt,
+		Rounds:    res.Rounds,
+		Counters:  res.Counters,
+		Digest:    res.Digest,
+	}
 }

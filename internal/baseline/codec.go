@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"encoding/gob"
+
 	"sublinear/internal/netsim"
 	"sublinear/internal/realnet"
 	"sublinear/internal/wire"
@@ -10,7 +12,9 @@ import (
 // comparator runs over internal/realnet too and the cross-engine
 // conformance matrix can diff it against the simulator. Encodings are
 // tag-free — the realnet registry tags by concrete type — and mirror the
-// Bits() model accounting: one varint per payload.
+// Bits() model accounting: one varint per payload. The output types are
+// registered with gob, which carries a worker process's outputs back to
+// a realnet coordinator.
 
 // uvarintCodec builds a codec for a payload that is a single uint64
 // field: field extracts it, build reconstructs the payload.
@@ -31,6 +35,10 @@ func uvarintCodec(name string, field func(netsim.Payload) uint64, build func(uin
 }
 
 func init() {
+	for _, out := range []any{FloodSetOutput{}, GKOutput{}, GossipOutput{}, RotatingOutput{},
+		AllPairsOutput{}, KuttenOutput{}, AMPOutput{}, D2Output{}, WCOutput{}} {
+		gob.Register(out)
+	}
 	realnet.RegisterPayload(coordMsg{}, uvarintCodec("baseline/coord",
 		func(p netsim.Payload) uint64 { return uint64(p.(coordMsg).bit) },
 		func(v uint64) netsim.Payload { return coordMsg{bit: int(v)} }))

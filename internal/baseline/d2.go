@@ -24,14 +24,9 @@ type D2Config struct {
 	// generator at N (the canonical diameter-two family). The election
 	// is correct on any diameter <= 2 topology.
 	Topology *topo.Topology
-	// Workers selects the engine parallelism (0 = GOMAXPROCS, 1 =
-	// inline); every setting produces the identical digest.
-	Workers int
 	// Tracer, when non-nil, streams the run to an execution flight
 	// recorder; nil costs nothing.
 	Tracer netsim.Tracer
-	// Alpha is engine bookkeeping; defaults to 1.
-	Alpha float64
 }
 
 // D2Output is a node's view after the three-round exchange.
@@ -63,37 +58,14 @@ func (d2Reply) Bits(n int) int { return d2KeyBits(n) }
 
 // d2KeyBits is the encoded key size: keys live in [0, n^3), so
 // 3 ceil(log2 n) bits, capped at 62.
-func d2KeyBits(n int) int {
-	b := 0
-	for v := n - 1; v > 0; v >>= 1 {
-		b++
-	}
-	if b < 1 {
-		b = 1
-	}
-	b *= 3
-	if b > 62 {
-		b = 62
-	}
-	return b
-}
+func d2KeyBits(n int) int { return min(3*netsim.BitsLen(n), 62) }
 
 // d2CandThreshold is the candidacy cutoff: a node is a candidate when a
 // uniform draw from [0, n) lands below min(n, 6 ceil(log2 n) + 6) —
 // expected Theta(log n) candidates, and every node at small n (the
 // exhaustively model-checked sizes), so the whole protocol surface is
 // exercised there.
-func d2CandThreshold(n int) int64 {
-	b := 0
-	for v := n - 1; v > 0; v >>= 1 {
-		b++
-	}
-	t := int64(6*b + 6)
-	if t > int64(n) {
-		t = int64(n)
-	}
-	return t
-}
+func d2CandThreshold(n int) int64 { return int64(min(6*netsim.BitsLen(n)+6, n)) }
 
 type d2Machine struct {
 	n         int
@@ -177,61 +149,71 @@ func (m *d2Machine) Output() any {
 // intact — crashes from round 3 on can never produce two leaders. The
 // dst oracles state exactly these conditions.
 func RunD2Election(cfg D2Config, adv netsim.Adversary) (*Result, error) {
-	tp := cfg.Topology
-	if tp == nil {
-		var err error
-		tp, err = topo.ResolveTopology("cluster-d2", cfg.N, cfg.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("d2election: %w", err)
-		}
+	ecfg, machines, err := BuildD2Election(cfg, runAlpha)
+	if err != nil {
+		return nil, err
 	}
-	if tp.N() != cfg.N {
-		return nil, fmt.Errorf("d2election: topology has n=%d, config has N=%d", tp.N(), cfg.N)
+	res, err := execute(netsim.Parallel, ecfg, machines, adv)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Alpha == 0 {
-		cfg.Alpha = 1
+	return EvaluateImplicitElection(res)
+}
+
+// BuildD2Election returns the engine configuration and the machines of
+// one diameter-two election.
+func BuildD2Election(cfg D2Config, alpha float64) (netsim.Config, []netsim.Machine, error) {
+	tp, err := resolve(cfg.Topology, "cluster-d2", cfg.N, cfg.Seed)
+	if err != nil {
+		return netsim.Config{}, nil, fmt.Errorf("d2election: %w", err)
 	}
 	machines := make([]netsim.Machine, cfg.N)
 	for u := range machines {
 		machines[u] = &d2Machine{n: cfg.N}
 	}
-	res, err := netsim.Execute(netsim.Parallel, netsim.Config{
+	return netsim.Config{
 		N:         cfg.N,
 		Ports:     tp.Ports(),
-		Alpha:     cfg.Alpha,
+		Alpha:     alpha,
 		Seed:      cfg.Seed,
 		MaxRounds: 4,
 		Strict:    true,
-		Workers:   cfg.Workers,
 		Tracer:    cfg.Tracer,
-	}, machines, adv)
-	if err != nil {
-		return nil, fmt.Errorf("d2election: %w", err)
-	}
-	return evalImplicitElection(res, func(o any) (bool, bool) {
-		d, ok := o.(D2Output)
-		return d.Leader, ok
-	})
+	}, machines, nil
 }
 
-// evalImplicitElection checks that exactly one live node claims
-// leadership; leader extracts the claim from a protocol output.
-func evalImplicitElection(res *netsim.Result, leader func(any) (claimed, ok bool)) (*Result, error) {
-	out := &Result{
-		Outputs:   res.Outputs,
-		CrashedAt: res.CrashedAt,
-		Rounds:    res.Rounds,
-		Counters:  res.Counters,
-		Digest:    res.Digest,
+// resolve returns tp, or the native family at (n, seed) when tp is nil,
+// after checking its size.
+func resolve(tp *topo.Topology, native string, n int, seed uint64) (*topo.Topology, error) {
+	if tp == nil {
+		var err error
+		if tp, err = topo.ResolveTopology(native, n, seed); err != nil {
+			return nil, err
+		}
 	}
+	if tp.N() != n {
+		return nil, fmt.Errorf("topology has n=%d, config has N=%d", tp.N(), n)
+	}
+	return tp, nil
+}
+
+// EvaluateImplicitElection judges a diameter-two or well-connected
+// election: exactly one live node claims leadership.
+func EvaluateImplicitElection(res *netsim.Result) (*Result, error) {
+	out := newResult(res)
 	elected := 0
 	who := -1
 	for u, o := range res.Outputs {
 		if res.CrashedAt[u] != 0 {
 			continue
 		}
-		claimed, ok := leader(o)
-		if !ok {
+		var claimed bool
+		switch t := o.(type) {
+		case D2Output:
+			claimed = t.Leader
+		case WCOutput:
+			claimed = t.Leader
+		default:
 			return nil, fmt.Errorf("implicit election: unexpected output %T", o)
 		}
 		if claimed {

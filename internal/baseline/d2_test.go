@@ -146,7 +146,12 @@ func TestWCElectionMessageBound(t *testing.T) {
 // protocol level: worker counts do not change the execution digest.
 func TestD2ElectionDigestDeterministic(t *testing.T) {
 	run := func(workers int, adv netsim.Adversary) uint64 {
-		res, err := RunD2Election(D2Config{N: 65, Seed: 9, Workers: workers}, adv)
+		cfg, machines, err := BuildD2Election(D2Config{N: 65, Seed: 9}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Workers = workers
+		res, err := netsim.Execute(netsim.Parallel, cfg, machines, adv)
 		if err != nil {
 			t.Fatal(err)
 		}

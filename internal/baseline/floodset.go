@@ -23,8 +23,6 @@ type FloodSetConfig struct {
 	Tracer netsim.Tracer
 	// F is the fault bound; the protocol runs F+1 rounds. Required >= 0.
 	F int
-	// Alpha is only used for engine bookkeeping; defaults to 1-F/N.
-	Alpha float64
 }
 
 // FloodSetOutput is a node's (explicit) decision.
@@ -81,36 +79,35 @@ func (m *floodSetMachine) Output() any {
 // RunFloodSet executes FloodSet under the given adversary and evaluates
 // explicit agreement over live nodes.
 func RunFloodSet(cfg FloodSetConfig, inputs []int, adv netsim.Adversary) (*Result, error) {
-	if len(inputs) != cfg.N {
-		return nil, fmt.Errorf("floodset: %d inputs for N=%d", len(inputs), cfg.N)
+	ecfg, machines, err := BuildFloodSet(cfg, runAlpha, inputs)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Alpha == 0 {
-		cfg.Alpha = 1 - float64(cfg.F)/float64(cfg.N)
-		if cfg.Alpha <= 0 {
-			cfg.Alpha = 1 / float64(cfg.N)
-		}
+	res, err := execute(cfg.Mode, ecfg, machines, adv)
+	if err != nil {
+		return nil, err
+	}
+	return EvaluateExplicitAgreement(res, inputs)
+}
+
+// BuildFloodSet returns the engine configuration and the machines of one
+// FloodSet run.
+func BuildFloodSet(cfg FloodSetConfig, alpha float64, inputs []int) (netsim.Config, []netsim.Machine, error) {
+	if len(inputs) != cfg.N {
+		return netsim.Config{}, nil, fmt.Errorf("floodset: %d inputs for N=%d", len(inputs), cfg.N)
 	}
 	machines := make([]netsim.Machine, cfg.N)
 	for u := range machines {
 		machines[u] = &floodSetMachine{input: inputs[u], endRound: cfg.F + 1}
 	}
-	res, err := runMachines(cfg.N, cfg.Alpha, cfg.Seed, cfg.F+2, 8, cfg.Mode, cfg.Tracer, machines, adv)
-	if err != nil {
-		return nil, err
-	}
-	return evalExplicitAgreement(res, inputs)
+	return cliqueConfig(cfg.N, alpha, cfg.Seed, cfg.F+2, cfg.Tracer), machines, nil
 }
 
-// evalExplicitAgreement checks that all live nodes decided the same valid
-// value.
-func evalExplicitAgreement(res *netsim.Result, inputs []int) (*Result, error) {
-	out := &Result{
-		Outputs:   res.Outputs,
-		CrashedAt: res.CrashedAt,
-		Rounds:    res.Rounds,
-		Counters:  res.Counters,
-		Digest:    res.Digest,
-	}
+// EvaluateExplicitAgreement judges an explicit binary agreement run
+// (FloodSet, GK, gossip, rotating coordinator): all live nodes decided
+// the same value, and it is some node's input.
+func EvaluateExplicitAgreement(res *netsim.Result, inputs []int) (*Result, error) {
+	out := newResult(res)
 	haveInput := [2]bool{}
 	for _, in := range inputs {
 		haveInput[in] = true
@@ -125,6 +122,10 @@ func evalExplicitAgreement(res *netsim.Result, inputs []int) (*Result, error) {
 		var v int
 		switch t := o.(type) {
 		case FloodSetOutput:
+			v = t.Value
+		case GossipOutput:
+			v = t.Value
+		case RotatingOutput:
 			v = t.Value
 		case GKOutput:
 			if !t.Decided {

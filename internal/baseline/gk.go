@@ -25,13 +25,10 @@ type GKConfig struct {
 	// Tracer, when non-nil, streams the run to an execution flight
 	// recorder (internal/trace); nil costs nothing.
 	Tracer netsim.Tracer
-	// CommitteeFactor scales the committee size
-	// CommitteeFactor * ceil(log2 n); default 3.
-	CommitteeFactor float64
-	// Alpha is engine bookkeeping; defaults to 0.5 (the f < n/2 regime
-	// GK10 targets).
-	Alpha float64
 }
+
+// gkCommitteeFactor scales the committee size gkCommitteeFactor * ln n.
+const gkCommitteeFactor = 3
 
 // GKOutput is a node's (explicit) decision.
 type GKOutput struct {
@@ -124,16 +121,24 @@ func (m *gkMachine) Output() any {
 // RunGK executes the GK-style baseline under the given adversary and
 // evaluates explicit agreement over live nodes.
 func RunGK(cfg GKConfig, inputs []int, adv netsim.Adversary) (*Result, error) {
+	ecfg, machines, err := BuildGK(cfg, runAlpha, inputs)
+	if err != nil {
+		return nil, err
+	}
+	res, err := execute(cfg.Mode, ecfg, machines, adv)
+	if err != nil {
+		return nil, err
+	}
+	return EvaluateExplicitAgreement(res, inputs)
+}
+
+// BuildGK returns the engine configuration and the machines of one
+// GK-style run.
+func BuildGK(cfg GKConfig, alpha float64, inputs []int) (netsim.Config, []netsim.Machine, error) {
 	if len(inputs) != cfg.N {
-		return nil, fmt.Errorf("gk: %d inputs for N=%d", len(inputs), cfg.N)
+		return netsim.Config{}, nil, fmt.Errorf("gk: %d inputs for N=%d", len(inputs), cfg.N)
 	}
-	if cfg.CommitteeFactor == 0 {
-		cfg.CommitteeFactor = 3
-	}
-	if cfg.Alpha == 0 {
-		cfg.Alpha = 0.5
-	}
-	k := int(cfg.CommitteeFactor * rng.LogN(cfg.N))
+	k := int(gkCommitteeFactor * rng.LogN(cfg.N))
 	if k < 2 {
 		k = 2
 	}
@@ -144,9 +149,5 @@ func RunGK(cfg GKConfig, inputs []int, adv netsim.Adversary) (*Result, error) {
 	for u := range machines {
 		machines[u] = &gkMachine{committeeSize: k, input: inputs[u]}
 	}
-	res, err := runMachines(cfg.N, cfg.Alpha, cfg.Seed, k+2, 8, cfg.Mode, cfg.Tracer, machines, adv)
-	if err != nil {
-		return nil, err
-	}
-	return evalExplicitAgreement(res, inputs)
+	return cliqueConfig(cfg.N, alpha, cfg.Seed, k+2, cfg.Tracer), machines, nil
 }

@@ -23,15 +23,15 @@ type GossipConfig struct {
 	// Tracer, when non-nil, streams the run to an execution flight
 	// recorder (internal/trace); nil costs nothing.
 	Tracer netsim.Tracer
-	// Fanout is the number of random peers pushed to per round; default
-	// 3.
-	Fanout int
-	// RoundFactor scales the round budget RoundFactor*ceil(log2 n);
-	// default 4.
-	RoundFactor float64
-	// Alpha is engine bookkeeping; default 0.5.
-	Alpha float64
 }
+
+const (
+	// gossipFanout is the number of random peers pushed to per round.
+	gossipFanout = 3
+	// gossipRoundFactor scales the round budget
+	// gossipRoundFactor*ceil(log2 n).
+	gossipRoundFactor = 4
+)
 
 // GossipOutput is a node's (explicit) decision.
 type GossipOutput struct {
@@ -44,13 +44,12 @@ type gossipMsg struct{ bit int }
 func (gossipMsg) Kind() string { return "gossip" }
 func (gossipMsg) Bits(int) int { return 2 }
 
-// gossipMachine pushes its current minimum to Fanout random ports every
-// round until the round budget is spent. Persistent pushing is what makes
-// the epidemic reach everyone in O(log n) rounds w.h.p. even when crashed
-// nodes swallow part of the traffic; the total cost stays
-// n * Fanout * O(log n) = Theta(n log n) messages.
+// gossipMachine pushes its current minimum to gossipFanout random ports
+// every round until the round budget is spent. Persistent pushing is
+// what makes the epidemic reach everyone in O(log n) rounds w.h.p. even
+// when crashed nodes swallow part of the traffic; the total cost stays
+// n * gossipFanout * O(log n) = Theta(n log n) messages.
 type gossipMachine struct {
-	fanout    int
 	endRound  int
 	input     int
 	lastRound int
@@ -73,9 +72,9 @@ func (m *gossipMachine) Step(env *netsim.Env, round int, inbox []netsim.Delivery
 	if round > m.endRound {
 		return nil
 	}
-	sends := make([]netsim.Send, 0, m.fanout)
-	used := make(map[int]bool, m.fanout)
-	for i := 0; i < m.fanout; i++ {
+	sends := make([]netsim.Send, 0, gossipFanout)
+	used := make(map[int]bool, gossipFanout)
+	for i := 0; i < gossipFanout; i++ {
 		p := 1 + env.Rand.Intn(env.N-1)
 		if used[p] {
 			continue
@@ -93,67 +92,30 @@ func (m *gossipMachine) Output() any { return GossipOutput{Input: m.input, Value
 // RunGossip executes the push-gossip baseline under the given adversary
 // and evaluates explicit agreement over live nodes.
 func RunGossip(cfg GossipConfig, inputs []int, adv netsim.Adversary) (*Result, error) {
+	ecfg, machines, err := BuildGossip(cfg, runAlpha, inputs)
+	if err != nil {
+		return nil, err
+	}
+	res, err := execute(cfg.Mode, ecfg, machines, adv)
+	if err != nil {
+		return nil, err
+	}
+	return EvaluateExplicitAgreement(res, inputs)
+}
+
+// BuildGossip returns the engine configuration and the machines of one
+// gossip run.
+func BuildGossip(cfg GossipConfig, alpha float64, inputs []int) (netsim.Config, []netsim.Machine, error) {
 	if len(inputs) != cfg.N {
-		return nil, fmt.Errorf("gossip: %d inputs for N=%d", len(inputs), cfg.N)
+		return netsim.Config{}, nil, fmt.Errorf("gossip: %d inputs for N=%d", len(inputs), cfg.N)
 	}
-	if cfg.Fanout == 0 {
-		cfg.Fanout = 3
-	}
-	if cfg.RoundFactor == 0 {
-		cfg.RoundFactor = 4
-	}
-	if cfg.Alpha == 0 {
-		cfg.Alpha = 0.5
-	}
-	rounds := int(math.Ceil(cfg.RoundFactor * math.Log2(float64(cfg.N))))
+	rounds := int(math.Ceil(gossipRoundFactor * math.Log2(float64(cfg.N))))
 	if rounds < 4 {
 		rounds = 4
 	}
 	machines := make([]netsim.Machine, cfg.N)
 	for u := range machines {
-		machines[u] = &gossipMachine{fanout: cfg.Fanout, endRound: rounds, input: inputs[u]}
+		machines[u] = &gossipMachine{endRound: rounds, input: inputs[u]}
 	}
-	res, err := runMachines(cfg.N, cfg.Alpha, cfg.Seed, rounds+1, 8, cfg.Mode, cfg.Tracer, machines, adv)
-	if err != nil {
-		return nil, err
-	}
-	out := &Result{
-		Outputs:   res.Outputs,
-		CrashedAt: res.CrashedAt,
-		Rounds:    res.Rounds,
-		Counters:  res.Counters,
-		Digest:    res.Digest,
-	}
-	haveInput := [2]bool{}
-	for _, in := range inputs {
-		haveInput[in] = true
-	}
-	value := -1
-	agree := true
-	for u, o := range res.Outputs {
-		if res.CrashedAt[u] != 0 {
-			continue
-		}
-		g, ok := o.(GossipOutput)
-		if !ok {
-			return nil, fmt.Errorf("gossip: unexpected output %T", o)
-		}
-		if value == -1 {
-			value = g.Value
-		} else if value != g.Value {
-			agree = false
-		}
-	}
-	switch {
-	case value == -1:
-		out.Reason = "no live nodes"
-	case !agree:
-		out.Reason = "live nodes disagree"
-	case !haveInput[value]:
-		out.Reason = "decided value is no node's input"
-	default:
-		out.Success = true
-		out.Value = int64(value)
-	}
-	return out, nil
+	return cliqueConfig(cfg.N, alpha, cfg.Seed, rounds+1, cfg.Tracer), machines, nil
 }

@@ -20,12 +20,16 @@ type KuttenConfig struct {
 	// Tracer, when non-nil, streams the run to an execution flight
 	// recorder (internal/trace); nil costs nothing.
 	Tracer netsim.Tracer
-	// CandidateFactor scales the candidate probability
-	// CandidateFactor * ln n / n; default 6.
-	CandidateFactor float64
-	// RefereeFactor scales the referee sample 2*sqrt(n ln n); default 2.
-	RefereeFactor float64
 }
+
+const (
+	// candidateFactor scales the candidate probability of Kutten et al.
+	// and AMP: candidateFactor * ln n / n.
+	candidateFactor = 6
+	// refereeFactor scales their referee sample
+	// refereeFactor * sqrt(n ln n).
+	refereeFactor = 2
+)
 
 // KuttenOutput is a node's output.
 type KuttenOutput struct {
@@ -43,7 +47,6 @@ type KuttenOutput struct {
 // O(1) rounds, O(sqrt(n) log^{3/2} n) messages — the fault-free bounds of
 // [21] that Table I cites.
 type kuttenMachine struct {
-	cfg       KuttenConfig
 	lastRound int
 
 	isCandidate bool
@@ -73,7 +76,7 @@ func (m *kuttenMachine) Step(env *netsim.Env, round int, inbox []netsim.Delivery
 	m.lastRound = round
 	switch round {
 	case 1:
-		prob := m.cfg.CandidateFactor * rng.LogN(env.N) / float64(env.N)
+		prob := candidateFactor * rng.LogN(env.N) / float64(env.N)
 		if prob > 1 {
 			prob = 1
 		}
@@ -83,7 +86,7 @@ func (m *kuttenMachine) Step(env *netsim.Env, round int, inbox []netsim.Delivery
 		m.isCandidate = true
 		m.rank = 1 + uint64(env.Rand.Int64n(int64(ridRange(env.N))))
 		m.winner = m.rank
-		k := int(math.Ceil(m.cfg.RefereeFactor * math.Sqrt(float64(env.N)*rng.LogN(env.N))))
+		k := int(math.Ceil(refereeFactor * math.Sqrt(float64(env.N)*rng.LogN(env.N))))
 		if k > env.N-1 {
 			k = env.N - 1
 		}
@@ -139,27 +142,28 @@ func (m *kuttenMachine) Output() any {
 // RunKutten executes the fault-free baseline election and evaluates it:
 // success means exactly one candidate is elected.
 func RunKutten(cfg KuttenConfig) (*Result, error) {
-	if cfg.CandidateFactor == 0 {
-		cfg.CandidateFactor = 6
-	}
-	if cfg.RefereeFactor == 0 {
-		cfg.RefereeFactor = 2
-	}
-	machines := make([]netsim.Machine, cfg.N)
-	for u := range machines {
-		machines[u] = &kuttenMachine{cfg: cfg}
-	}
-	res, err := runMachines(cfg.N, 1, cfg.Seed, 3, 8, cfg.Mode, cfg.Tracer, machines, nil)
+	ecfg, machines := BuildKutten(cfg, runAlpha)
+	res, err := execute(cfg.Mode, ecfg, machines, nil)
 	if err != nil {
 		return nil, err
 	}
-	out := &Result{
-		Outputs:   res.Outputs,
-		CrashedAt: res.CrashedAt,
-		Rounds:    res.Rounds,
-		Counters:  res.Counters,
-		Digest:    res.Digest,
+	return EvaluateKutten(res)
+}
+
+// BuildKutten returns the engine configuration and the machines of one
+// fault-free sublinear election.
+func BuildKutten(cfg KuttenConfig, alpha float64) (netsim.Config, []netsim.Machine) {
+	machines := make([]netsim.Machine, cfg.N)
+	for u := range machines {
+		machines[u] = &kuttenMachine{}
 	}
+	return cliqueConfig(cfg.N, alpha, cfg.Seed, 3, cfg.Tracer), machines
+}
+
+// EvaluateKutten judges a sublinear-election run: exactly one candidate
+// is elected.
+func EvaluateKutten(res *netsim.Result) (*Result, error) {
+	out := newResult(res)
 	elected, candidates := 0, 0
 	var leader uint64
 	for _, o := range res.Outputs {
@@ -200,18 +204,6 @@ func ridRange(n int) uint64 {
 	return uint64(r)
 }
 
-// ridBits is the encoded rank size: 4 ceil(log2 n) bits, capped at 62.
-func ridBits(n int) int {
-	b := 0
-	for v := n - 1; v > 0; v >>= 1 {
-		b++
-	}
-	if b < 1 {
-		b = 1
-	}
-	b *= 4
-	if b > 62 {
-		b = 62
-	}
-	return b + 2
-}
+// ridBits is the encoded rank size: 4 ceil(log2 n) bits, capped at 62,
+// plus two flag bits.
+func ridBits(n int) int { return min(4*netsim.BitsLen(n), 62) + 2 }

@@ -25,8 +25,6 @@ type RotatingConfig struct {
 	Tracer netsim.Tracer
 	// F is the fault bound; the protocol runs F+1 phases.
 	F int
-	// Alpha is engine bookkeeping; defaults to 1-F/N.
-	Alpha float64
 }
 
 // RotatingOutput is a node's (explicit) decision.
@@ -81,63 +79,29 @@ func (m *rotatingMachine) Output() any { return RotatingOutput{Input: m.input, V
 // RunRotating executes the rotating-coordinator baseline under the given
 // adversary and evaluates explicit agreement over live nodes.
 func RunRotating(cfg RotatingConfig, inputs []int, adv netsim.Adversary) (*Result, error) {
+	ecfg, machines, err := BuildRotating(cfg, runAlpha, inputs)
+	if err != nil {
+		return nil, err
+	}
+	res, err := execute(cfg.Mode, ecfg, machines, adv)
+	if err != nil {
+		return nil, err
+	}
+	return EvaluateExplicitAgreement(res, inputs)
+}
+
+// BuildRotating returns the engine configuration and the machines of one
+// rotating-coordinator run.
+func BuildRotating(cfg RotatingConfig, alpha float64, inputs []int) (netsim.Config, []netsim.Machine, error) {
 	if len(inputs) != cfg.N {
-		return nil, fmt.Errorf("rotating: %d inputs for N=%d", len(inputs), cfg.N)
+		return netsim.Config{}, nil, fmt.Errorf("rotating: %d inputs for N=%d", len(inputs), cfg.N)
 	}
 	if cfg.F >= cfg.N {
-		return nil, fmt.Errorf("rotating: F=%d must be < N=%d", cfg.F, cfg.N)
-	}
-	if cfg.Alpha == 0 {
-		cfg.Alpha = 1 - float64(cfg.F)/float64(cfg.N)
-		if cfg.Alpha <= 0 {
-			cfg.Alpha = 1 / float64(cfg.N)
-		}
+		return netsim.Config{}, nil, fmt.Errorf("rotating: F=%d must be < N=%d", cfg.F, cfg.N)
 	}
 	machines := make([]netsim.Machine, cfg.N)
 	for u := range machines {
 		machines[u] = &rotatingMachine{input: inputs[u], endRound: cfg.F + 1}
 	}
-	res, err := runMachines(cfg.N, cfg.Alpha, cfg.Seed, cfg.F+2, 8, cfg.Mode, cfg.Tracer, machines, adv)
-	if err != nil {
-		return nil, err
-	}
-	out := &Result{
-		Outputs:   res.Outputs,
-		CrashedAt: res.CrashedAt,
-		Rounds:    res.Rounds,
-		Counters:  res.Counters,
-		Digest:    res.Digest,
-	}
-	haveInput := [2]bool{}
-	for _, in := range inputs {
-		haveInput[in] = true
-	}
-	value := -1
-	agree := true
-	for u, o := range res.Outputs {
-		if res.CrashedAt[u] != 0 {
-			continue
-		}
-		r, ok := o.(RotatingOutput)
-		if !ok {
-			return nil, fmt.Errorf("rotating: unexpected output %T", o)
-		}
-		if value == -1 {
-			value = r.Value
-		} else if value != r.Value {
-			agree = false
-		}
-	}
-	switch {
-	case value == -1:
-		out.Reason = "no live nodes"
-	case !agree:
-		out.Reason = "live nodes disagree"
-	case !haveInput[value]:
-		out.Reason = "decided value is no node's input"
-	default:
-		out.Success = true
-		out.Value = int64(value)
-	}
-	return out, nil
+	return cliqueConfig(cfg.N, alpha, cfg.Seed, cfg.F+2, cfg.Tracer), machines, nil
 }

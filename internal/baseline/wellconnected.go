@@ -24,12 +24,8 @@ type WCConfig struct {
 	// diameter (O(n*m) preprocessing — pass an explicit bound in hot
 	// loops).
 	Rounds int
-	// Workers selects the engine parallelism (0 = GOMAXPROCS).
-	Workers int
 	// Tracer, when non-nil, streams the run to a flight recorder.
 	Tracer netsim.Tracer
-	// Alpha is engine bookkeeping; defaults to 1.
-	Alpha float64
 }
 
 // WCOutput is a node's view after the flood.
@@ -109,19 +105,23 @@ func (m *wcMachine) Output() any {
 // winner; crashes can suppress relays, and the dst oracles state the
 // exact conditional guarantees.
 func RunWCElection(cfg WCConfig, adv netsim.Adversary) (*Result, error) {
-	tp := cfg.Topology
-	if tp == nil {
-		var err error
-		tp, err = topo.ResolveTopology("wellconnected", cfg.N, cfg.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("wcelection: %w", err)
-		}
+	ecfg, machines, err := BuildWCElection(cfg, runAlpha)
+	if err != nil {
+		return nil, err
 	}
-	if tp.N() != cfg.N {
-		return nil, fmt.Errorf("wcelection: topology has n=%d, config has N=%d", tp.N(), cfg.N)
+	res, err := execute(netsim.Parallel, ecfg, machines, adv)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Alpha == 0 {
-		cfg.Alpha = 1
+	return EvaluateImplicitElection(res)
+}
+
+// BuildWCElection returns the engine configuration and the machines of
+// one well-connected election.
+func BuildWCElection(cfg WCConfig, alpha float64) (netsim.Config, []netsim.Machine, error) {
+	tp, err := resolve(cfg.Topology, "wellconnected", cfg.N, cfg.Seed)
+	if err != nil {
+		return netsim.Config{}, nil, fmt.Errorf("wcelection: %w", err)
 	}
 	horizon := cfg.Rounds
 	if horizon == 0 {
@@ -134,21 +134,13 @@ func RunWCElection(cfg WCConfig, adv netsim.Adversary) (*Result, error) {
 	for u := range machines {
 		machines[u] = &wcMachine{n: cfg.N, horizon: horizon}
 	}
-	res, err := netsim.Execute(netsim.Parallel, netsim.Config{
+	return netsim.Config{
 		N:         cfg.N,
 		Ports:     tp.Ports(),
-		Alpha:     cfg.Alpha,
+		Alpha:     alpha,
 		Seed:      cfg.Seed,
 		MaxRounds: horizon + 2,
 		Strict:    true,
-		Workers:   cfg.Workers,
 		Tracer:    cfg.Tracer,
-	}, machines, adv)
-	if err != nil {
-		return nil, fmt.Errorf("wcelection: %w", err)
-	}
-	return evalImplicitElection(res, func(o any) (bool, bool) {
-		w, ok := o.(WCOutput)
-		return w.Leader, ok
-	})
+	}, machines, nil
 }

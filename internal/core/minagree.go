@@ -210,27 +210,42 @@ type MinAgreementResult struct {
 // RunMinAgreement executes the multi-valued implicit agreement. values
 // must have length cfg.N.
 func RunMinAgreement(cfg RunConfig, values []uint64) (*MinAgreementResult, error) {
-	d, err := deriveParams(cfg.Params, cfg.N, cfg.Alpha)
+	ecfg, machines, err := BuildMinAgreement(cfg, values)
 	if err != nil {
 		return nil, err
 	}
+	res, err := netsim.Execute(cfg.Mode, ecfg, machines, cfg.Adversary)
+	if err != nil {
+		return nil, fmt.Errorf("min agreement run: %w", err)
+	}
+	return EvaluateMinAgreement(values, res)
+}
+
+// BuildMinAgreement returns the engine configuration and the machines of
+// one multi-valued agreement run.
+func BuildMinAgreement(cfg RunConfig, values []uint64) (netsim.Config, []netsim.Machine, error) {
+	d, err := deriveParams(cfg.Params, cfg.N, cfg.Alpha)
+	if err != nil {
+		return netsim.Config{}, nil, err
+	}
 	if len(values) != cfg.N {
-		return nil, fmt.Errorf("min agreement: %d values for N=%d", len(values), cfg.N)
+		return netsim.Config{}, nil, fmt.Errorf("min agreement: %d values for N=%d", len(values), cfg.N)
 	}
 	machines := make([]netsim.Machine, cfg.N)
 	for u := range machines {
 		if values[u] >= 1<<62 {
-			return nil, fmt.Errorf("min agreement: value[%d] = %d exceeds the 62-bit CONGEST payload", u, values[u])
+			return netsim.Config{}, nil, fmt.Errorf("min agreement: value[%d] = %d exceeds the 62-bit CONGEST payload", u, values[u])
 		}
 		machines[u] = newMinAgreeMachine(d, values[u])
 	}
-	maxRounds := newMinAgreeMachine(d, 0).endRound
-	res, err := netsim.Execute(cfg.Mode, cfg.engineConfig(maxRounds), machines, cfg.Adversary)
-	if err != nil {
-		return nil, fmt.Errorf("min agreement run: %w", err)
-	}
+	return cfg.engineConfig(newMinAgreeMachine(d, 0).endRound), machines, nil
+}
+
+// EvaluateMinAgreement types a multi-valued agreement run's outputs and
+// judges the run.
+func EvaluateMinAgreement(values []uint64, res *netsim.Result) (*MinAgreementResult, error) {
 	out := &MinAgreementResult{
-		Outputs:   make([]MinAgreementOutput, cfg.N),
+		Outputs:   make([]MinAgreementOutput, len(res.Outputs)),
 		CrashedAt: res.CrashedAt,
 		Faulty:    res.Faulty,
 		Rounds:    res.Rounds,

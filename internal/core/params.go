@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 
+	"sublinear/internal/netsim"
 	"sublinear/internal/rng"
 )
 
@@ -155,17 +156,9 @@ func drawRank(src *rng.Source, rang uint64) uint64 {
 // rankBits returns the encoded size of a rank for an n-node network:
 // ceil(log2(n^4)) = 4 ceil(log2 n) bits, capped at 62.
 func rankBits(n int) int {
-	b := 4 * bitsLen(n)
+	b := 4 * netsim.BitsLen(n)
 	if b > 62 {
 		b = 62
 	}
 	return b
-}
-
-// bitsLen returns ceil(log2 n) with a floor of 1.
-func bitsLen(n int) int {
-	if n <= 2 {
-		return 1
-	}
-	return int(math.Ceil(math.Log2(float64(n))))
 }

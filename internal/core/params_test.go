@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"sublinear/internal/netsim"
 )
 
 func TestDeriveParamsDefaults(t *testing.T) {
@@ -125,7 +127,7 @@ func TestDeriveParamsExported(t *testing.T) {
 // (factor 12).
 func TestPayloadsFitBudget(t *testing.T) {
 	for _, n := range []int{4, 64, 1024, 1 << 20} {
-		budget := 12 * bitsLen(n)
+		budget := 12 * netsim.BitsLen(n)
 		payloads := []interface {
 			Bits(int) int
 			Kind() string

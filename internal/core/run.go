@@ -86,18 +86,34 @@ type ElectionResult struct {
 // RunElection executes the fault-tolerant leader election of Section IV-A
 // on a fresh simulated network.
 func RunElection(cfg RunConfig) (*ElectionResult, error) {
-	d, err := deriveParams(cfg.Params, cfg.N, cfg.Alpha)
+	ecfg, machines, err := BuildElection(cfg)
 	if err != nil {
 		return nil, err
+	}
+	res, err := netsim.Execute(cfg.Mode, ecfg, machines, cfg.Adversary)
+	if err != nil {
+		return nil, fmt.Errorf("election run: %w", err)
+	}
+	return EvaluateElection(cfg, res)
+}
+
+// BuildElection returns the engine configuration and the machines of one
+// election run.
+func BuildElection(cfg RunConfig) (netsim.Config, []netsim.Machine, error) {
+	d, err := deriveParams(cfg.Params, cfg.N, cfg.Alpha)
+	if err != nil {
+		return netsim.Config{}, nil, err
 	}
 	machines := make([]netsim.Machine, cfg.N)
 	for u := range machines {
 		machines[u] = newElectionMachine(d)
 	}
-	res, err := netsim.Execute(cfg.Mode, cfg.engineConfig(electionRounds(d)), machines, cfg.Adversary)
-	if err != nil {
-		return nil, fmt.Errorf("election run: %w", err)
-	}
+	return cfg.engineConfig(electionRounds(d)), machines, nil
+}
+
+// EvaluateElection types an election run's outputs and judges the run
+// against Definition 1.
+func EvaluateElection(cfg RunConfig, res *netsim.Result) (*ElectionResult, error) {
 	out := &ElectionResult{
 		Outputs:   make([]ElectionOutput, cfg.N),
 		CrashedAt: res.CrashedAt,
@@ -114,7 +130,7 @@ func RunElection(cfg RunConfig) (*ElectionResult, error) {
 		}
 		out.Outputs[u] = eo
 	}
-	out.Eval = evaluateElection(out.Outputs, res.CrashedAt, d.params.Explicit)
+	out.Eval = evaluateElection(out.Outputs, res.CrashedAt, cfg.Params.Explicit)
 	return out, nil
 }
 
@@ -141,24 +157,40 @@ type AgreementResult struct {
 // RunAgreement executes the fault-tolerant implicit agreement of Section
 // V-A. inputs must have length cfg.N with values in {0, 1}.
 func RunAgreement(cfg RunConfig, inputs []int) (*AgreementResult, error) {
-	d, err := deriveParams(cfg.Params, cfg.N, cfg.Alpha)
+	ecfg, machines, err := BuildAgreement(cfg, inputs)
 	if err != nil {
 		return nil, err
 	}
+	res, err := netsim.Execute(cfg.Mode, ecfg, machines, cfg.Adversary)
+	if err != nil {
+		return nil, fmt.Errorf("agreement run: %w", err)
+	}
+	return EvaluateAgreement(cfg, inputs, res)
+}
+
+// BuildAgreement returns the engine configuration and the machines of
+// one agreement run.
+func BuildAgreement(cfg RunConfig, inputs []int) (netsim.Config, []netsim.Machine, error) {
+	d, err := deriveParams(cfg.Params, cfg.N, cfg.Alpha)
+	if err != nil {
+		return netsim.Config{}, nil, err
+	}
 	if len(inputs) != cfg.N {
-		return nil, fmt.Errorf("agreement run: %d inputs for N=%d", len(inputs), cfg.N)
+		return netsim.Config{}, nil, fmt.Errorf("agreement run: %d inputs for N=%d", len(inputs), cfg.N)
 	}
 	machines := make([]netsim.Machine, cfg.N)
 	for u := range machines {
 		if inputs[u] != 0 && inputs[u] != 1 {
-			return nil, fmt.Errorf("agreement run: input[%d] = %d, want 0 or 1", u, inputs[u])
+			return netsim.Config{}, nil, fmt.Errorf("agreement run: input[%d] = %d, want 0 or 1", u, inputs[u])
 		}
 		machines[u] = newAgreementMachine(d, inputs[u])
 	}
-	res, err := netsim.Execute(cfg.Mode, cfg.engineConfig(agreementRounds(d, 0)), machines, cfg.Adversary)
-	if err != nil {
-		return nil, fmt.Errorf("agreement run: %w", err)
-	}
+	return cfg.engineConfig(agreementRounds(d, 0)), machines, nil
+}
+
+// EvaluateAgreement types an agreement run's outputs and judges the run
+// against Definition 2.
+func EvaluateAgreement(cfg RunConfig, inputs []int, res *netsim.Result) (*AgreementResult, error) {
 	out := &AgreementResult{
 		Outputs:   make([]AgreementOutput, cfg.N),
 		CrashedAt: res.CrashedAt,
@@ -175,7 +207,7 @@ func RunAgreement(cfg RunConfig, inputs []int) (*AgreementResult, error) {
 		}
 		out.Outputs[u] = ao
 	}
-	out.Eval = evaluateAgreement(out.Outputs, inputs, res.CrashedAt, d.params.Explicit)
+	out.Eval = evaluateAgreement(out.Outputs, inputs, res.CrashedAt, cfg.Params.Explicit)
 	return out, nil
 }
 

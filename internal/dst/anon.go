@@ -26,7 +26,8 @@ import (
 //   - floodset wraps the classical Table-I FloodSet baseline: per-node
 //     random inputs break rotation symmetry, but the protocol tolerates
 //     any f <= n-2, so it is the real named protocol mc exhausts with
-//     full fault universes.
+//     full fault universes. Its oracles live with the other Table I
+//     comparators (comparators.go).
 
 // --- echo -----------------------------------------------------------------
 
@@ -146,13 +147,7 @@ func (minFloodHello) Kind() string         { return "mf-hello" }
 func (minFloodHello) Bits(int) int         { return 1 }
 func (minFloodHello) KindID() metrics.Kind { return kindMinFloodHello }
 func (minFloodValue) Kind() string         { return "mf-value" }
-func (minFloodValue) Bits(n int) int {
-	bits := 1
-	for 1<<bits < n {
-		bits++
-	}
-	return bits
-}
+func (minFloodValue) Bits(n int) int       { return netsim.BitsLen(n) }
 func (minFloodValue) KindID() metrics.Kind { return kindMinFloodValue }
 
 // minFloodHorizon is the latest crash round the protocol is dimensioned
@@ -260,74 +255,22 @@ func minFloodAgreementOracle() core.Oracle {
 	}
 }
 
-// --- floodset -------------------------------------------------------------
-
-// floodSetAgreementOracle re-checks the FloodSet guarantee from the raw
-// outputs: every never-crashed node decided, all decisions agree, and
-// the decided value is some node's input. Sound for every schedule the
-// harness can validate: Case.Validate caps the faulty count at the F the
-// run is dimensioned for, and F+1 rounds with at most F crashes always
-// contain a crash-free round.
-func floodSetAgreementOracle() core.Oracle {
-	return core.Oracle{
-		Name: "floodset-agreement",
-		Check: func(v *core.RunView) error {
-			val, first := -1, -1
-			haveInput := map[int]bool{}
-			for u, o := range v.Outputs {
-				fo, ok := o.(baseline.FloodSetOutput)
-				if !ok {
-					return fmt.Errorf("node %d output is %T, want FloodSetOutput", u, o)
-				}
-				haveInput[fo.Input] = true
-				if v.CrashedAt[u] != 0 {
-					continue
-				}
-				if first < 0 {
-					first, val = u, fo.Value
-				} else if fo.Value != val {
-					return fmt.Errorf("live nodes %d and %d decided %d vs %d",
-						first, u, val, fo.Value)
-				}
-			}
-			if first >= 0 && !haveInput[val] {
-				return fmt.Errorf("decided value %d is no node's input", val)
-			}
-			return nil
-		},
+// anonConfig is the engine configuration of the small-n systems: the
+// congest factor baseline's clique protocols use.
+func anonConfig(s Setup, maxRounds int) netsim.Config {
+	return netsim.Config{
+		N: s.N, Alpha: s.Alpha, Seed: s.Seed,
+		MaxRounds: maxRounds, CongestFactor: 8, Strict: true,
 	}
 }
 
-// anonBudget mirrors the congest factor baseline.runMachines uses.
-const anonCongestFactor = 8
-
-func anonRun(c Case, mode netsim.RunMode, tracer netsim.Tracer, maxRounds int, build func() netsim.Machine) (*Run, error) {
-	adv, err := c.adversary()
-	if err != nil {
-		return nil, err
-	}
-	machines := make([]netsim.Machine, c.N)
+// identical returns n machines from one constructor.
+func identical(n int, build func() netsim.Machine) []netsim.Machine {
+	machines := make([]netsim.Machine, n)
 	for u := range machines {
 		machines[u] = build()
 	}
-	cfg := netsim.Config{
-		N: c.N, Alpha: c.Alpha, Seed: c.Seed,
-		MaxRounds: maxRounds, CongestFactor: anonCongestFactor, Strict: true,
-		Tracer: tracer,
-	}
-	res, err := netsim.Execute(mode, cfg, machines, adv)
-	if err != nil {
-		return nil, err
-	}
-	return &Run{
-		Digest:   res.Digest,
-		Rounds:   res.Rounds,
-		Messages: res.Counters.Messages(),
-		Bits:     res.Counters.Bits(),
-		Outputs:  fmt.Sprintf("%+v", res.Outputs),
-		View: core.NewRunView(res.Outputs, res.CrashedAt, res.Faulty, res.Rounds,
-			res.Counters, netsim.PerMessageBudget(c.N, anonCongestFactor), len(res.Violations)),
-	}, nil
+	return machines
 }
 
 func init() {
@@ -338,8 +281,8 @@ func init() {
 		Symmetric: true,
 		Oracles: []core.Oracle{core.CrashMonotonicityOracle(), core.CongestOracle(),
 			echoCompletenessOracle()},
-		Run: func(c Case, mode netsim.RunMode, tracer netsim.Tracer) (*Run, error) {
-			return anonRun(c, mode, tracer, 4, func() netsim.Machine { return &echoMachine{} })
+		Build: func(s Setup) (netsim.Config, []netsim.Machine, error) {
+			return anonConfig(s, 4), identical(s.N, func() netsim.Machine { return &echoMachine{} }), nil
 		},
 	})
 
@@ -350,9 +293,8 @@ func init() {
 		Symmetric: true,
 		Oracles: []core.Oracle{core.CrashMonotonicityOracle(), core.CongestOracle(),
 			minFloodAgreementOracle()},
-		Run: func(c Case, mode netsim.RunMode, tracer netsim.Tracer) (*Run, error) {
-			return anonRun(c, mode, tracer, minFloodHorizon+3,
-				func() netsim.Machine { return &minFloodMachine{} })
+		Build: func(s Setup) (netsim.Config, []netsim.Machine, error) {
+			return anonConfig(s, minFloodHorizon+3), identical(s.N, func() netsim.Machine { return &minFloodMachine{} }), nil
 		},
 	})
 
@@ -360,43 +302,11 @@ func init() {
 		Name:    "floodset",
 		MaxF:    crashBudget,
 		Horizon: 4,
-		Oracles: []core.Oracle{core.CrashMonotonicityOracle(), floodSetAgreementOracle()},
-		Run: func(c Case, mode netsim.RunMode, tracer netsim.Tracer) (*Run, error) {
-			adv, err := c.adversary()
-			if err != nil {
-				return nil, err
-			}
-			pOne := c.POne
-			if pOne == 0 {
-				pOne = 0.5
-			}
-			src := c.inputRand()
-			inputs := make([]int, c.N)
-			for u := range inputs {
-				if src.Bool(pOne) {
-					inputs[u] = 1
-				}
-			}
-			res, err := baseline.RunFloodSet(baseline.FloodSetConfig{
-				N: c.N, Seed: c.Seed, Mode: mode, Tracer: tracer,
-				F: crashBudget(c.N, c.Alpha), Alpha: c.Alpha,
-			}, inputs, adv)
-			if err != nil {
-				return nil, err
-			}
-			faulty := make([]bool, c.N)
-			for _, cr := range c.Schedule.Crashes {
-				faulty[cr.Node] = true
-			}
-			return &Run{
-				Digest:   res.Digest,
-				Rounds:   res.Rounds,
-				Messages: res.Counters.Messages(),
-				Bits:     res.Counters.Bits(),
-				Outputs:  fmt.Sprintf("%+v", res.Outputs),
-				View: core.NewRunView(res.Outputs, res.CrashedAt, faulty, res.Rounds,
-					res.Counters, netsim.PerMessageBudget(c.N, anonCongestFactor), 0),
-			}, nil
+		Input:   BitInputs,
+		Oracles: comparatorOracles(floodSetAgreementOracle()),
+		Build: func(s Setup) (netsim.Config, []netsim.Machine, error) {
+			return baseline.BuildFloodSet(baseline.FloodSetConfig{N: s.N, Seed: s.Seed, F: s.F}, s.Alpha, s.Bits)
 		},
+		Evaluate: explicitAgreement,
 	})
 }

@@ -95,33 +95,13 @@ func init() {
 		Horizon:   2,
 		Symmetric: true,
 		Oracles:   []core.Oracle{core.CrashMonotonicityOracle(), core.CongestOracle(), canaryConsistencyOracle()},
-		Run: func(c Case, mode netsim.RunMode, tracer netsim.Tracer) (*Run, error) {
-			adv, err := c.adversary()
-			if err != nil {
-				return nil, err
-			}
-			machines := make([]netsim.Machine, c.N)
-			for u := range machines {
-				machines[u] = &canaryMachine{}
-			}
+		Build: func(s Setup) (netsim.Config, []netsim.Machine, error) {
 			cfg := netsim.Config{
-				N: c.N, Alpha: c.Alpha, Seed: c.Seed,
+				N: s.N, Alpha: s.Alpha, Seed: s.Seed,
 				MaxRounds: 3, CongestFactor: core.DefaultCongestFactor, Strict: true,
-				Tracer: tracer,
 			}
-			res, err := netsim.Execute(mode, cfg, machines, adv)
-			if err != nil {
-				return nil, err
-			}
-			return &Run{
-				Digest:   res.Digest,
-				Rounds:   res.Rounds,
-				Messages: res.Counters.Messages(),
-				Bits:     res.Counters.Bits(),
-				Outputs:  fmt.Sprintf("%+v", res.Outputs),
-				View: core.NewRunView(res.Outputs, res.CrashedAt, res.Faulty, res.Rounds,
-					res.Counters, netsim.PerMessageBudget(c.N, core.DefaultCongestFactor), len(res.Violations)),
-			}, nil
+			return cfg, identical(s.N, func() netsim.Machine { return &canaryMachine{} }), nil
 		},
+		optIn: true,
 	})
 }

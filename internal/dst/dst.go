@@ -1,9 +1,10 @@
-// Package dst is a deterministic-simulation-testing harness in the
-// FoundationDB style: a single seed expands into a fully explicit
-// adversary schedule (fault.Schedule), the scheduled run executes
-// differentially through every netsim engine mode, and the results are
-// checked against protocol safety oracles (internal/core). Any
-// divergence between engine modes or oracle violation is a Failure
+// Package dst holds the repository's protocol registry — every protocol
+// declared once as a System — and a deterministic-simulation-testing
+// harness over it in the FoundationDB style: a single seed expands into
+// a fully explicit adversary schedule (fault.Schedule), the scheduled
+// run executes differentially through every netsim engine mode, and the
+// results are checked against protocol safety oracles (internal/core).
+// Any divergence between engine modes or oracle violation is a Failure
 // whose Case serializes to JSON, shrinks to a minimal reproducer
 // (Minimize), and replays byte-for-byte with `dstrun -repro`.
 package dst
@@ -16,7 +17,7 @@ import (
 	"sublinear/internal/core"
 	"sublinear/internal/fault"
 	"sublinear/internal/netsim"
-	"sublinear/internal/rng"
+	"sublinear/internal/topo"
 	"sublinear/internal/trace"
 )
 
@@ -83,17 +84,33 @@ type Run struct {
 	View *core.RunView
 }
 
-// System is one registered protocol under test.
+// System is one registered protocol: the repo's one declaration of it.
+// dst campaigns, mc universes, realnet workers (through Machines), simd
+// and cmd/realnode all construct and judge the protocol from this
+// declaration, so adding a protocol takes its own package plus one
+// register call.
 type System struct {
 	// Name is the registry key.
 	Name string
-	// MaxF bounds the faulty set the adversary may schedule.
+	// MaxF bounds the faulty set the adversary may schedule. It is also
+	// the fault bound F the registry builds the protocol for.
 	MaxF func(n int, alpha float64) int
 	// Horizon is the latest round the adversary schedules crashes in.
 	Horizon int
-	// Run executes the case in the given engine mode. tracer is usually
-	// nil; TraceCase passes a flight recorder through to the engine.
-	Run func(c Case, mode netsim.RunMode, tracer netsim.Tracer) (*Run, error)
+	// Input is the kind of per-node input the protocol reads.
+	Input InputKind
+	// Topology is the graph family (a topo.ResolveTopology name) the
+	// protocol runs on when Setup.Topology is nil; "" is the complete
+	// network, the only wiring the socket engine runs.
+	Topology string
+	// Build returns the engine configuration and the machines of one
+	// execution.
+	Build func(s Setup) (netsim.Config, []netsim.Machine, error)
+	// Evaluate judges a finished execution by the protocol's own success
+	// criterion, which may hold only with high probability (unlike the
+	// Oracles): the verdict and, on failure, its reason. nil for the
+	// harness-only systems, which no service runs.
+	Evaluate func(s Setup, res *netsim.Result) (ok bool, reason string)
 	// Oracles is the safety suite checked on every run.
 	Oracles []core.Oracle
 	// Symmetric declares the system rotation-symmetric: its execution is
@@ -114,6 +131,63 @@ type System struct {
 	// below n = 32); crash-tolerant-by-design systems return 0.5, the
 	// maximal crash budget. nil means 0.5.
 	DefaultAlpha func(n int) float64
+	// optIn keeps the system out of DefaultSystems: campaigns run it
+	// only when named.
+	optIn bool
+}
+
+// InputKind is the per-node input a protocol reads.
+type InputKind int
+
+const (
+	// NoInputs: the protocol reads no input.
+	NoInputs InputKind = iota
+	// BitInputs: one bit per node, in Setup.Bits.
+	BitInputs
+	// ValueInputs: one value per node, in Setup.Values.
+	ValueInputs
+)
+
+// Setup is what one execution is built from: the network, the fault
+// bound F the protocol is dimensioned for, the inputs its system's
+// InputKind names, and the graph (nil selects the system's Topology at
+// (N, Seed)). Each consumer derives inputs its own way; a dst case
+// derives them from its seed (Case.setup).
+type Setup struct {
+	N        int
+	Alpha    float64
+	Seed     uint64
+	F        int
+	Bits     []int
+	Values   []uint64
+	Topology *topo.Topology
+}
+
+// Run executes the case in the given engine mode. tracer is usually nil;
+// TraceCase passes a flight recorder through to the engine.
+func (s *System) Run(c Case, mode netsim.RunMode, tracer netsim.Tracer) (*Run, error) {
+	adv, err := c.adversary()
+	if err != nil {
+		return nil, err
+	}
+	cfg, machines, err := s.Build(c.setup(s))
+	if err != nil {
+		return nil, err
+	}
+	cfg.Tracer = tracer
+	res, err := netsim.Execute(mode, cfg, machines, adv)
+	if err != nil {
+		return nil, err
+	}
+	return &Run{
+		Digest:   res.Digest,
+		Rounds:   res.Rounds,
+		Messages: res.Counters.Messages(),
+		Bits:     res.Counters.Bits(),
+		Outputs:  fmt.Sprintf("%+v", res.Outputs),
+		View: core.NewRunView(res.Outputs, res.CrashedAt, res.Faulty, res.Rounds, res.Counters,
+			netsim.PerMessageBudget(c.N, cfg.CongestFactor), len(res.Violations)),
+	}, nil
 }
 
 // ResolveAlpha returns alpha when non-zero, else the system's default.
@@ -271,9 +345,8 @@ func diffRuns(a, b *Run) string {
 	return ""
 }
 
-// registry holds the systems under test. Canary is registered but kept
-// out of DefaultSystems: it exists to prove the harness detects bugs,
-// so a campaign over it always fails.
+// registry holds every protocol. Package init only fills it; nothing is
+// built until a system runs.
 var registry = map[string]*System{}
 
 func register(s *System) { registry[s.Name] = s }
@@ -288,11 +361,13 @@ func Lookup(name string) (*System, error) {
 }
 
 // DefaultSystems lists the systems a campaign fuzzes when none are
-// named explicitly: every registered real protocol, not the canary.
+// named explicitly: every registered protocol that is not opt-in (the
+// canary, and the Table I comparators that joined after the campaign
+// set was pinned).
 func DefaultSystems() []string {
 	out := make([]string, 0, len(registry))
-	for name := range registry {
-		if name != canaryName {
+	for name, s := range registry {
+		if !s.optIn {
 			out = append(out, name)
 		}
 	}
@@ -310,9 +385,20 @@ func AllSystems() []string {
 	return out
 }
 
-// inputRand derives the input-generation stream from the case seed,
-// decorrelated from the engine's own streams.
-func (c Case) inputRand() *rng.Source { return rng.New(c.Seed).Split(0x1b) }
+// setup derives the case's execution setup for sys: F is the system's
+// crash budget, and the inputs come from the shared seed derivation
+// (core.DeriveAgreementInputs, DeriveMinAgreementValues), so a realnet
+// worker rebuilds the same machines from (n, alpha, seed, pOne) alone.
+func (c Case) setup(sys *System) Setup {
+	s := Setup{N: c.N, Alpha: c.Alpha, Seed: c.Seed, F: sys.MaxF(c.N, c.Alpha)}
+	switch sys.Input {
+	case BitInputs:
+		s.Bits = core.DeriveAgreementInputs(c.N, c.Seed, c.POne)
+	case ValueInputs:
+		s.Values = core.DeriveMinAgreementValues(c.N, c.Seed)
+	}
+	return s
+}
 
 // adversary builds the case's fresh schedule adversary.
 func (c Case) adversary() (netsim.Adversary, error) {

@@ -3,6 +3,7 @@ package dst
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"sublinear/internal/fault"
@@ -127,8 +128,15 @@ func TestLookupAndRegistry(t *testing.T) {
 	if _, err := Lookup("canary"); err != nil {
 		t.Fatalf("canary not registered: %v", err)
 	}
-	if len(AllSystems()) != len(DefaultSystems())+1 {
-		t.Fatalf("AllSystems %v vs DefaultSystems %v", AllSystems(), DefaultSystems())
+	// The default campaign set is pinned (perfbench's dst-verify folds
+	// its executions); the canary and the Table I comparators are opt-in.
+	const defaults = "[agreement d2election echo election floodset minagree minflood wcelection]"
+	if got := fmt.Sprint(DefaultSystems()); got != defaults {
+		t.Fatalf("DefaultSystems %s, want %s", got, defaults)
+	}
+	const all = "[agreement allpairs amp canary d2election echo election floodset gk gossip kutten minagree minflood rotating wcelection]"
+	if got := fmt.Sprint(AllSystems()); got != all {
+		t.Fatalf("AllSystems %s, want %s", got, all)
 	}
 }
 

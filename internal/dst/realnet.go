@@ -1,6 +1,7 @@
 package dst
 
 import (
+	"encoding/gob"
 	"fmt"
 
 	"sublinear/internal/netsim"
@@ -8,12 +9,13 @@ import (
 	"sublinear/internal/wire"
 )
 
-// Socket-engine integration: payload codecs for the harness's own
-// systems, and a check that re-validates a case over real sockets. With
-// these registered, every system in the registry — core protocols,
-// baselines, and the anonymous small-n systems — runs under
-// netsim.RealNet, so a schedule the simulator flags can be replayed over
-// TCP and diffed digest-for-digest.
+// Socket-engine integration: payload codecs and output types for the
+// harness's own systems, the builder and coordinator configuration that
+// run any registered clique system across processes, and a check that
+// re-validates a case over real sockets. Every system in the registry
+// except the two topology elections runs under netsim.RealNet, so a
+// schedule the simulator flags can be replayed over TCP and diffed
+// digest-for-digest.
 
 func emptyCodec(name string, build func() netsim.Payload) realnet.PayloadCodec {
 	return realnet.PayloadCodec{
@@ -24,6 +26,9 @@ func emptyCodec(name string, build func() netsim.Payload) realnet.PayloadCodec {
 }
 
 func init() {
+	gob.Register(EchoOutput{})
+	gob.Register(MinFloodOutput{})
+	gob.Register(CanaryOutput{})
 	realnet.RegisterPayload(echoPing{}, emptyCodec("dst/echo-ping",
 		func() netsim.Payload { return echoPing{} }))
 	realnet.RegisterPayload(echoReply{}, emptyCodec("dst/echo-reply",
@@ -77,4 +82,53 @@ func CheckRealnet(c Case) (*Failure, error) {
 		}
 	}
 	return nil, nil
+}
+
+// Machines rebuilds a system's machines from the run parameters a
+// realnet coordinator announces: the builder realnet.Join takes. It
+// derives F and the inputs exactly as a case does, so a worker process
+// builds the machines the simulator-side reference runs.
+func Machines(system string, p realnet.SystemParams) ([]netsim.Machine, error) {
+	sys, err := Lookup(system)
+	if err != nil {
+		return nil, err
+	}
+	c := Case{System: system, N: p.N, Alpha: p.Alpha, Seed: p.Seed, POne: p.POne}
+	_, machines, err := sys.Build(c.setup(sys))
+	return machines, err
+}
+
+// RealnetConfig returns the configuration and system spec a realnet
+// coordinator serves the case with, its schedule as the adversary;
+// workers rebuild the machines with Machines. Systems on a port table
+// are refused: the socket engine runs only the complete network.
+func RealnetConfig(c Case) (realnet.Config, realnet.SystemSpec, error) {
+	if err := c.Validate(); err != nil {
+		return realnet.Config{}, realnet.SystemSpec{}, err
+	}
+	sys, err := Lookup(c.System)
+	if err != nil {
+		return realnet.Config{}, realnet.SystemSpec{}, err
+	}
+	if sys.Topology != "" {
+		return realnet.Config{}, realnet.SystemSpec{}, fmt.Errorf(
+			"dst: %s runs on the %s topology, and the socket engine runs only the complete network", c.System, sys.Topology)
+	}
+	cfg, _, err := sys.Build(c.setup(sys))
+	if err != nil {
+		return realnet.Config{}, realnet.SystemSpec{}, err
+	}
+	adv, err := c.adversary()
+	if err != nil {
+		return realnet.Config{}, realnet.SystemSpec{}, err
+	}
+	return realnet.Config{
+		N:             cfg.N,
+		Alpha:         cfg.Alpha,
+		Seed:          cfg.Seed,
+		MaxRounds:     cfg.MaxRounds,
+		CongestFactor: cfg.CongestFactor,
+		Strict:        cfg.Strict,
+		Adversary:     adv,
+	}, realnet.SystemSpec{Name: c.System, POne: c.POne}, nil
 }

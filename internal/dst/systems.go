@@ -1,8 +1,6 @@
 package dst
 
 import (
-	"fmt"
-
 	"sublinear/internal/core"
 	"sublinear/internal/netsim"
 )
@@ -20,10 +18,6 @@ func crashBudget(n int, alpha float64) int {
 	}
 	return f
 }
-
-// coreBudget is the per-message CONGEST budget the core protocols run
-// under, recomputed for the oracles' cross-check.
-func coreBudget(n int) int { return netsim.PerMessageBudget(n, core.DefaultCongestFactor) }
 
 // coreAlpha is the core protocols' DefaultAlpha: the paper's
 // admissibility floor log^2 n / n, clamped up to the campaign's 0.7. At
@@ -45,29 +39,15 @@ func init() {
 		Horizon:      8,
 		DefaultAlpha: coreAlpha,
 		Oracles:      core.ElectionOracles(),
-		Run: func(c Case, mode netsim.RunMode, tracer netsim.Tracer) (*Run, error) {
-			adv, err := c.adversary()
+		Build: func(s Setup) (netsim.Config, []netsim.Machine, error) {
+			return core.BuildElection(coreConfig(s))
+		},
+		Evaluate: func(s Setup, res *netsim.Result) (bool, string) {
+			r, err := core.EvaluateElection(coreConfig(s), res)
 			if err != nil {
-				return nil, err
+				return false, err.Error()
 			}
-			res, err := core.RunElection(core.RunConfig{
-				N: c.N, Alpha: c.Alpha, Seed: c.Seed, Adversary: adv, Mode: mode, Tracer: tracer,
-			})
-			if err != nil {
-				return nil, err
-			}
-			outs := make([]any, len(res.Outputs))
-			for u := range res.Outputs {
-				outs[u] = res.Outputs[u]
-			}
-			return &Run{
-				Digest:   res.Digest,
-				Rounds:   res.Rounds,
-				Messages: res.Counters.Messages(),
-				Bits:     res.Counters.Bits(),
-				Outputs:  fmt.Sprintf("%+v", res.Outputs),
-				View:     core.NewRunView(outs, res.CrashedAt, res.Faulty, res.Rounds, res.Counters, coreBudget(c.N), 0),
-			}, nil
+			return r.Eval.Success, r.Eval.Reason
 		},
 	})
 
@@ -75,35 +55,18 @@ func init() {
 		Name:         "agreement",
 		MaxF:         crashBudget,
 		Horizon:      6,
+		Input:        BitInputs,
 		DefaultAlpha: coreAlpha,
 		Oracles:      core.AgreementOracles(),
-		Run: func(c Case, mode netsim.RunMode, tracer netsim.Tracer) (*Run, error) {
-			adv, err := c.adversary()
+		Build: func(s Setup) (netsim.Config, []netsim.Machine, error) {
+			return core.BuildAgreement(coreConfig(s), s.Bits)
+		},
+		Evaluate: func(s Setup, res *netsim.Result) (bool, string) {
+			r, err := core.EvaluateAgreement(coreConfig(s), s.Bits, res)
 			if err != nil {
-				return nil, err
+				return false, err.Error()
 			}
-			// The shared derivation (not a local stream): realnet worker
-			// processes rebuild the same inputs from (n, seed, pOne) alone,
-			// so the socket engine cannot drift from the simulator here.
-			inputs := core.DeriveAgreementInputs(c.N, c.Seed, c.POne)
-			res, err := core.RunAgreement(core.RunConfig{
-				N: c.N, Alpha: c.Alpha, Seed: c.Seed, Adversary: adv, Mode: mode, Tracer: tracer,
-			}, inputs)
-			if err != nil {
-				return nil, err
-			}
-			outs := make([]any, len(res.Outputs))
-			for u := range res.Outputs {
-				outs[u] = res.Outputs[u]
-			}
-			return &Run{
-				Digest:   res.Digest,
-				Rounds:   res.Rounds,
-				Messages: res.Counters.Messages(),
-				Bits:     res.Counters.Bits(),
-				Outputs:  fmt.Sprintf("%+v", res.Outputs),
-				View:     core.NewRunView(outs, res.CrashedAt, res.Faulty, res.Rounds, res.Counters, coreBudget(c.N), 0),
-			}, nil
+			return r.Eval.Success, r.Eval.Reason
 		},
 	})
 
@@ -111,32 +74,24 @@ func init() {
 		Name:         "minagree",
 		MaxF:         crashBudget,
 		Horizon:      6,
+		Input:        ValueInputs,
 		DefaultAlpha: coreAlpha,
 		Oracles:      core.MinAgreementOracles(),
-		Run: func(c Case, mode netsim.RunMode, tracer netsim.Tracer) (*Run, error) {
-			adv, err := c.adversary()
+		Build: func(s Setup) (netsim.Config, []netsim.Machine, error) {
+			return core.BuildMinAgreement(coreConfig(s), s.Values)
+		},
+		Evaluate: func(s Setup, res *netsim.Result) (bool, string) {
+			r, err := core.EvaluateMinAgreement(s.Values, res)
 			if err != nil {
-				return nil, err
+				return false, err.Error()
 			}
-			values := core.DeriveMinAgreementValues(c.N, c.Seed)
-			res, err := core.RunMinAgreement(core.RunConfig{
-				N: c.N, Alpha: c.Alpha, Seed: c.Seed, Adversary: adv, Mode: mode, Tracer: tracer,
-			}, values)
-			if err != nil {
-				return nil, err
-			}
-			outs := make([]any, len(res.Outputs))
-			for u := range res.Outputs {
-				outs[u] = res.Outputs[u]
-			}
-			return &Run{
-				Digest:   res.Digest,
-				Rounds:   res.Rounds,
-				Messages: res.Counters.Messages(),
-				Bits:     res.Counters.Bits(),
-				Outputs:  fmt.Sprintf("%+v", res.Outputs),
-				View:     core.NewRunView(outs, res.CrashedAt, res.Faulty, res.Rounds, res.Counters, coreBudget(c.N), 0),
-			}, nil
+			return r.Eval.Success, r.Eval.Reason
 		},
 	})
+}
+
+// coreConfig is the paper-default run configuration of a setup. The
+// core protocols read no fault bound: they are dimensioned by alpha.
+func coreConfig(s Setup) core.RunConfig {
+	return core.RunConfig{N: s.N, Alpha: s.Alpha, Seed: s.Seed}
 }

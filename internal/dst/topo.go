@@ -10,42 +10,13 @@ import (
 
 // This file registers the topology-family protocols: leader election on
 // diameter-two graphs and on well-connected (bounded-degree expander)
-// graphs, both running on compiled port tables (internal/topo) instead
-// of the clique wiring. The differential check still applies — the
-// engine-mode axis maps onto the pipeline's worker count, so
-// "sequential vs parallel" becomes "1 vs GOMAXPROCS workers", and any
-// scheduling-dependent divergence in the sharded pipeline trips the same
-// digest diff as on the clique.
-
-// topoWorkers maps an engine mode to the pipeline's worker count for a
-// topology system. Every worker count must produce the identical
-// digest.
-func topoWorkers(mode netsim.RunMode) (int, error) {
-	switch mode {
-	case netsim.Sequential:
-		return 1, nil
-	case netsim.Parallel:
-		return 0, nil
-	}
-	return 0, fmt.Errorf("dst: topology systems cannot run in mode %d", mode)
-}
-
-// topoRun adapts a baseline topology-election result into a dst Run.
-func topoRun(c Case, res *baseline.Result) *Run {
-	faulty := make([]bool, c.N)
-	for _, cr := range c.Schedule.Crashes {
-		faulty[cr.Node] = true
-	}
-	return &Run{
-		Digest:   res.Digest,
-		Rounds:   res.Rounds,
-		Messages: res.Counters.Messages(),
-		Bits:     res.Counters.Bits(),
-		Outputs:  fmt.Sprintf("%+v", res.Outputs),
-		View: core.NewRunView(res.Outputs, res.CrashedAt, faulty, res.Rounds,
-			res.Counters, netsim.PerMessageBudget(c.N, anonCongestFactor), 0),
-	}
-}
+// graphs, both running on compiled port tables instead of the clique
+// wiring. The differential check applies unchanged: the sequential
+// reference runs the pipeline on one inline shard, the parallel lane
+// shards it over the worker pool, and any scheduling-dependent
+// divergence trips the same digest diff as on the clique. The socket
+// engine runs only the complete network, so these two have no realnet
+// lane.
 
 // d2MaxKeyCandidate returns the index of the maximum-key candidate, or
 // -1 when no node self-selected.
@@ -184,54 +155,35 @@ func wcUniquenessOracle() core.Oracle {
 	}
 }
 
+// implicitElection is the Evaluate of the topology elections.
+func implicitElection(_ Setup, res *netsim.Result) (bool, string) {
+	return verdict(baseline.EvaluateImplicitElection(res))
+}
+
 func init() {
 	register(&System{
-		Name:    "d2election",
-		MaxF:    crashBudget,
-		Horizon: 3,
+		Name:     "d2election",
+		MaxF:     crashBudget,
+		Horizon:  3,
+		Topology: "cluster-d2",
 		Oracles: []core.Oracle{core.CrashMonotonicityOracle(), core.CongestOracle(),
 			d2ExistenceOracle(), d2UniquenessOracle()},
-		Run: func(c Case, mode netsim.RunMode, tracer netsim.Tracer) (*Run, error) {
-			workers, err := topoWorkers(mode)
-			if err != nil {
-				return nil, err
-			}
-			adv, err := c.adversary()
-			if err != nil {
-				return nil, err
-			}
-			res, err := baseline.RunD2Election(baseline.D2Config{
-				N: c.N, Seed: c.Seed, Workers: workers, Tracer: tracer, Alpha: c.Alpha,
-			}, adv)
-			if err != nil {
-				return nil, err
-			}
-			return topoRun(c, res), nil
+		Build: func(s Setup) (netsim.Config, []netsim.Machine, error) {
+			return baseline.BuildD2Election(baseline.D2Config{N: s.N, Seed: s.Seed, Topology: s.Topology}, s.Alpha)
 		},
+		Evaluate: implicitElection,
 	})
 
 	register(&System{
-		Name:    "wcelection",
-		MaxF:    crashBudget,
-		Horizon: 3,
+		Name:     "wcelection",
+		MaxF:     crashBudget,
+		Horizon:  3,
+		Topology: "wellconnected",
 		Oracles: []core.Oracle{core.CrashMonotonicityOracle(), core.CongestOracle(),
 			wcExistenceOracle(), wcUniquenessOracle()},
-		Run: func(c Case, mode netsim.RunMode, tracer netsim.Tracer) (*Run, error) {
-			workers, err := topoWorkers(mode)
-			if err != nil {
-				return nil, err
-			}
-			adv, err := c.adversary()
-			if err != nil {
-				return nil, err
-			}
-			res, err := baseline.RunWCElection(baseline.WCConfig{
-				N: c.N, Seed: c.Seed, Workers: workers, Tracer: tracer, Alpha: c.Alpha,
-			}, adv)
-			if err != nil {
-				return nil, err
-			}
-			return topoRun(c, res), nil
+		Build: func(s Setup) (netsim.Config, []netsim.Machine, error) {
+			return baseline.BuildWCElection(baseline.WCConfig{N: s.N, Seed: s.Seed, Topology: s.Topology}, s.Alpha)
 		},
+		Evaluate: implicitElection,
 	})
 }

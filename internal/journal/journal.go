@@ -7,9 +7,10 @@
 //   - Open replays complete lines up to the first torn or undecodable
 //     one, which is what a kill mid-append leaves behind, and discards
 //     everything from it on.
-//   - Open then rewrites the file atomically (temp file, fsync, rename)
-//     with the records the caller keeps, so creation, torn-tail repair
-//     and compaction are one code path. A missing or empty file opens
+//   - Open then rewrites the file atomically (temp file, fsync, rename,
+//     directory fsync) with the records the caller keeps, so creation,
+//     torn-tail repair and compaction are one code path, and the
+//     rewrite survives a power loss once Open returns. A missing or empty file opens
 //     fresh; a stale temp file from a rewrite killed before its rename
 //     is overwritten, never read.
 //   - Append makes its records durable with one write and one fsync
@@ -103,7 +104,7 @@ func Open[H, R any](path string, header H, replay func(H, []R) ([]R, error)) (*L
 }
 
 // replace atomically replaces the file at path with data (temp file,
-// fsync, rename) and opens it for appending.
+// fsync, rename, directory fsync) and opens it for appending.
 func replace(path string, data []byte) (*os.File, error) {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
@@ -120,10 +121,28 @@ func replace(path string, data []byte) (*os.File, error) {
 	if err == nil {
 		err = os.Rename(tmp, path)
 	}
+	if err == nil {
+		// The rename lives in the directory entry: until the directory
+		// is synced, a power loss can bring back the old file or none.
+		err = syncDir(filepath.Dir(path))
+	}
 	if err != nil {
 		return nil, err
 	}
 	return os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+}
+
+// syncDir fsyncs a directory. A variable so tests can observe the call.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func appendLine(dst []byte, v any) ([]byte, error) {

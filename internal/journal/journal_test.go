@@ -299,6 +299,42 @@ func TestOpenRewritesWhatReplayKeeps(t *testing.T) {
 	}
 }
 
+// TestOpenSyncsDirectoryAfterRename: the rewrite's rename is a directory
+// entry, durable only once the directory is fsynced. Open must sync the
+// journal's directory after the rename, on creation and on every
+// reopen, and fail when that sync fails.
+func TestOpenSyncsDirectoryAfterRename(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "j.jsonl")
+	var synced []string
+	orig := syncDir
+	defer func() { syncDir = orig }()
+	syncDir = func(d string) error {
+		if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("directory synced before the rename: temp file %v", err)
+		}
+		synced = append(synced, d)
+		return orig(d)
+	}
+	l, _ := open(t, path)
+	if err := l.Append(script[0]...); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	l, _ = open(t, path)
+	l.Close()
+	if want := []string{dir, dir}; !reflect.DeepEqual(synced, want) {
+		t.Fatalf("synced %v, want %v", synced, want)
+	}
+
+	syncDir = func(string) error { return errInjected }
+	if _, err := Open(path, header{Format: format}, func(_ header, recs []rec) ([]rec, error) {
+		return recs, nil
+	}); !errors.Is(err, errInjected) {
+		t.Fatalf("Open returned %v, want the failed directory sync", err)
+	}
+}
+
 // TestConcurrentCommits appends and group-commits from several
 // goroutines at once; every record must be replayed exactly once.
 func TestConcurrentCommits(t *testing.T) {

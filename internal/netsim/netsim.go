@@ -344,11 +344,12 @@ func (c *Config) bitBudget() int {
 	if factor == 0 {
 		factor = 8
 	}
-	return factor * bitsLen(c.N)
+	return factor * BitsLen(c.N)
 }
 
-// bitsLen returns ceil(log2 n) with a floor of 1.
-func bitsLen(n int) int {
+// BitsLen returns ceil(log2 n) with a floor of 1: the bits a node id or
+// port needs in an n-node network, and the unit of every payload size.
+func BitsLen(n int) int {
 	if n <= 2 {
 		return 1
 	}

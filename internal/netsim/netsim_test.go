@@ -97,13 +97,16 @@ func TestBitBudget(t *testing.T) {
 	}
 }
 
+// TestBitsLen checks BitsLen against the definition, the smallest b >= 1
+// with 2^b >= n, over every n in [2, 2^22].
 func TestBitsLen(t *testing.T) {
-	tests := []struct{ n, want int }{
-		{2, 1}, {3, 2}, {4, 2}, {5, 3}, {1024, 10}, {1025, 11},
-	}
-	for _, tt := range tests {
-		if got := bitsLen(tt.n); got != tt.want {
-			t.Errorf("bitsLen(%d) = %d, want %d", tt.n, got, tt.want)
+	want := 1
+	for n := 2; n <= 1<<22; n++ {
+		if 1<<want < n {
+			want++
+		}
+		if got := BitsLen(n); got != want {
+			t.Fatalf("BitsLen(%d) = %d, want %d", n, got, want)
 		}
 	}
 }

@@ -1,18 +1,18 @@
 package realnet_test
 
-// The differential conformance matrix: every baseline and core protocol,
+// The differential conformance matrix: every registered clique protocol,
 // across seeds, crash schedules and drop policies, must produce a socket
 // run whose schema-v2 digest is byte-identical to the sequential
-// simulator's. The dst systems are exercised through their System.Run
-// hooks (the same entry point dst campaigns and mc universes use), the
-// baselines through their public runners with the Mode field flipped.
+// simulator's. Both loops read the protocol registry (internal/dst):
+// one through System.Run (the entry point dst campaigns and mc
+// universes use), one through System.Build and Evaluate with a fixed
+// setup.
 
 import (
 	"fmt"
 	"sort"
 	"testing"
 
-	"sublinear/internal/baseline"
 	"sublinear/internal/dst"
 	"sublinear/internal/fault"
 	"sublinear/internal/netsim"
@@ -63,49 +63,37 @@ func assertRunsEqual(t *testing.T, seq, real *dst.Run) {
 	}
 }
 
-// TestConformanceDSTSystems runs the dst-registered systems (the three
-// core protocols plus the anonymous baselines) over loopback sockets and
-// asserts byte-identical digests against the sequential engine, under
-// every drop policy.
+// TestConformanceDSTSystems runs every registered clique system over
+// loopback sockets through its System.Run hook (the entry point dst
+// campaigns and mc universes use) and asserts byte-identical runs
+// against the sequential engine, under every drop policy.
 func TestConformanceDSTSystems(t *testing.T) {
-	systems := []struct {
-		name string
-		n    int
-	}{
+	for _, name := range dst.AllSystems() {
+		sys, _ := dst.Lookup(name)
+		if sys.Topology != "" || name == "canary" {
+			continue
+		}
 		// The core protocols' admissibility floor log^2(n)/n is 1 at
 		// n=16, so a crash budget only exists from n=32 up.
-		{"election", 32},
-		{"agreement", 32},
-		{"minagree", 32},
-		{"echo", 16},
-		{"minflood", 16},
-		{"floodset", 16},
-	}
-	for _, sc := range systems {
-		sys, err := dst.Lookup(sc.name)
-		if err != nil {
-			t.Fatalf("lookup %s: %v", sc.name, err)
+		n := 16
+		if sys.DefaultAlpha != nil {
+			n = 32
 		}
-		alpha := sys.ResolveAlpha(sc.n, 0)
-		maxF := sys.MaxF(sc.n, alpha)
-		f := 3
-		if f > maxF {
-			f = maxF
-		}
+		alpha := sys.ResolveAlpha(n, 0)
+		f := min(3, sys.MaxF(n, alpha))
 		for _, seed := range []uint64{1, 2} {
 			for _, pol := range policies {
 				if f == 0 && pol.policy != fault.DropAll {
 					continue // fault-free: policy is irrelevant, run once
 				}
-				name := fmt.Sprintf("%s/n%d/seed%d/%s", sc.name, sc.n, seed, pol.name)
-				t.Run(name, func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/n%d/seed%d/%s", name, n, seed, pol.name), func(t *testing.T) {
 					t.Parallel()
 					c := dst.Case{
-						System:   sc.name,
-						N:        sc.n,
+						System:   name,
+						N:        n,
 						Alpha:    alpha,
 						Seed:     seed,
-						Schedule: crashSchedule(sc.n, f, seed, pol.policy),
+						Schedule: crashSchedule(n, f, seed, pol.policy),
 					}
 					seq, err := sys.Run(c, netsim.Sequential, nil)
 					if err != nil {
@@ -122,10 +110,11 @@ func TestConformanceDSTSystems(t *testing.T) {
 	}
 }
 
-// assertBaselinesEqual compares two baseline.Results field by field,
-// including the per-kind counter decomposition — the socket engine must
-// not merely match totals but classify every message identically.
-func assertBaselinesEqual(t *testing.T, seq, real *baseline.Result) {
+// assertResultsEqual compares two engine results and their verdicts
+// field by field, including the per-kind counter decomposition — the
+// socket engine must not merely match totals but classify every message
+// identically.
+func assertResultsEqual(t *testing.T, seq, real *netsim.Result, seqVerdict, realVerdict string) {
 	t.Helper()
 	if seq.Digest != real.Digest {
 		t.Errorf("digest: sequential %016x, realnet %016x", seq.Digest, real.Digest)
@@ -133,9 +122,8 @@ func assertBaselinesEqual(t *testing.T, seq, real *baseline.Result) {
 	if seq.Rounds != real.Rounds {
 		t.Errorf("rounds: sequential %d, realnet %d", seq.Rounds, real.Rounds)
 	}
-	if seq.Success != real.Success || seq.Value != real.Value || seq.Reason != real.Reason {
-		t.Errorf("verdict: sequential (%v, %d, %q), realnet (%v, %d, %q)",
-			seq.Success, seq.Value, seq.Reason, real.Success, real.Value, real.Reason)
+	if seqVerdict != realVerdict {
+		t.Errorf("verdict: sequential %s, realnet %s", seqVerdict, realVerdict)
 	}
 	if sv, rv := fmt.Sprintf("%+v", seq.Outputs), fmt.Sprintf("%+v", real.Outputs); sv != rv {
 		t.Errorf("outputs diverge:\n  sequential: %s\n  realnet:    %s", sv, rv)
@@ -148,7 +136,7 @@ func assertBaselinesEqual(t *testing.T, seq, real *baseline.Result) {
 	}
 }
 
-func renderPerKind(r *baseline.Result) string {
+func renderPerKind(r *netsim.Result) string {
 	per := r.Counters.PerKind()
 	keys := make([]string, 0, len(per))
 	for k := range per {
@@ -171,124 +159,60 @@ func mustAdversary(t *testing.T, s fault.Schedule) netsim.Adversary {
 	return adv
 }
 
-func binaryInputs(n int) []int {
-	inputs := make([]int, n)
-	for i := range inputs {
-		inputs[i] = (i / 3) % 2
-	}
-	return inputs
-}
-
-// TestConformanceBaselines drives the comparator protocols' public
-// runners directly, sequential vs socket engine, with crash schedules
-// where the protocol tolerates them.
+// TestConformanceBaselines builds every registered clique protocol that
+// judges its runs from one hand-picked setup — fixed binary inputs, F =
+// 3 — and runs it sequentially and over sockets, with a crash schedule
+// where the protocol tolerates crashes.
 func TestConformanceBaselines(t *testing.T) {
 	const n = 16
-	for _, seed := range []uint64{1, 2} {
-		for _, pol := range policies {
-			sched := crashSchedule(n, 3, seed, pol.policy)
-			prefix := fmt.Sprintf("seed%d/%s", seed, pol.name)
-
-			t.Run("allpairs/"+prefix, func(t *testing.T) {
-				t.Parallel()
-				run := func(mode netsim.RunMode) *baseline.Result {
-					res, err := baseline.RunAllPairs(baseline.AllPairsConfig{
-						N: n, Seed: seed, Mode: mode, F: 3, Alpha: 0.5,
-					}, mustAdversary(t, sched))
-					if err != nil {
-						t.Fatalf("mode %d: %v", mode, err)
-					}
-					return res
-				}
-				assertBaselinesEqual(t, run(netsim.Sequential), run(netsim.RealNet))
-			})
-
-			t.Run("rotating/"+prefix, func(t *testing.T) {
-				t.Parallel()
-				run := func(mode netsim.RunMode) *baseline.Result {
-					res, err := baseline.RunRotating(baseline.RotatingConfig{
-						N: n, Seed: seed, Mode: mode, F: 3, Alpha: 0.5,
-					}, binaryInputs(n), mustAdversary(t, sched))
-					if err != nil {
-						t.Fatalf("mode %d: %v", mode, err)
-					}
-					return res
-				}
-				assertBaselinesEqual(t, run(netsim.Sequential), run(netsim.RealNet))
-			})
-
-			t.Run("floodset/"+prefix, func(t *testing.T) {
-				t.Parallel()
-				run := func(mode netsim.RunMode) *baseline.Result {
-					res, err := baseline.RunFloodSet(baseline.FloodSetConfig{
-						N: n, Seed: seed, Mode: mode, F: 3,
-					}, binaryInputs(n), mustAdversary(t, sched))
-					if err != nil {
-						t.Fatalf("mode %d: %v", mode, err)
-					}
-					return res
-				}
-				assertBaselinesEqual(t, run(netsim.Sequential), run(netsim.RealNet))
-			})
-
-			t.Run("gossip/"+prefix, func(t *testing.T) {
-				t.Parallel()
-				run := func(mode netsim.RunMode) *baseline.Result {
-					res, err := baseline.RunGossip(baseline.GossipConfig{
-						N: n, Seed: seed, Mode: mode,
-					}, binaryInputs(n), mustAdversary(t, sched))
-					if err != nil {
-						t.Fatalf("mode %d: %v", mode, err)
-					}
-					return res
-				}
-				assertBaselinesEqual(t, run(netsim.Sequential), run(netsim.RealNet))
-			})
-
-			t.Run("gk/"+prefix, func(t *testing.T) {
-				t.Parallel()
-				run := func(mode netsim.RunMode) *baseline.Result {
-					res, err := baseline.RunGK(baseline.GKConfig{
-						N: n, Seed: seed, Mode: mode,
-					}, binaryInputs(n), mustAdversary(t, sched))
-					if err != nil {
-						t.Fatalf("mode %d: %v", mode, err)
-					}
-					return res
-				}
-				assertBaselinesEqual(t, run(netsim.Sequential), run(netsim.RealNet))
-			})
+	s := dst.Setup{N: n, F: 3, Bits: make([]int, n), Values: make([]uint64, n)}
+	for i := 0; i < n; i++ {
+		s.Bits[i] = (i / 3) % 2
+		s.Values[i] = uint64(i*37) % 101
+	}
+	for _, name := range dst.AllSystems() {
+		sys, _ := dst.Lookup(name)
+		if sys.Evaluate == nil || sys.Topology != "" {
+			continue
 		}
-
-		// The fault-free baselines (the PODC'18 / TCS'15 protocols assume
-		// no crashes) run once per seed.
-		t.Run(fmt.Sprintf("amp/seed%d", seed), func(t *testing.T) {
-			t.Parallel()
-			run := func(mode netsim.RunMode) *baseline.Result {
-				res, err := baseline.RunAMP(baseline.AMPConfig{
-					N: n, Seed: seed, Mode: mode,
-				}, binaryInputs(n))
-				if err != nil {
-					t.Fatalf("mode %d: %v", mode, err)
+		s := s
+		s.Alpha = sys.ResolveAlpha(n, 0)
+		faulty := sys.MaxF(n, s.Alpha) > 0
+		for _, seed := range []uint64{1, 2} {
+			for _, pol := range policies {
+				if !faulty && pol.policy != fault.DropAll {
+					continue // fault-free protocol: run once per seed
 				}
-				return res
-			}
-			assertBaselinesEqual(t, run(netsim.Sequential), run(netsim.RealNet))
-		})
-
-		t.Run(fmt.Sprintf("kutten/seed%d", seed), func(t *testing.T) {
-			t.Parallel()
-			run := func(mode netsim.RunMode) *baseline.Result {
-				res, err := baseline.RunKutten(baseline.KuttenConfig{
-					N: n, Seed: seed, Mode: mode,
+				label := fmt.Sprintf("%s/seed%d", name, seed)
+				if faulty {
+					label += "/" + pol.name
+				}
+				t.Run(label, func(t *testing.T) {
+					t.Parallel()
+					s := s
+					s.Seed = seed
+					run := func(mode netsim.RunMode) (*netsim.Result, string) {
+						var adv netsim.Adversary
+						if faulty {
+							adv = mustAdversary(t, crashSchedule(n, 3, seed, pol.policy))
+						}
+						cfg, machines, err := sys.Build(s)
+						if err != nil {
+							t.Fatalf("build: %v", err)
+						}
+						res, err := netsim.Execute(mode, cfg, machines, adv)
+						if err != nil {
+							t.Fatalf("mode %d: %v", mode, err)
+						}
+						ok, reason := sys.Evaluate(s, res)
+						return res, fmt.Sprintf("(%v, %q)", ok, reason)
+					}
+					seq, seqVerdict := run(netsim.Sequential)
+					real, realVerdict := run(netsim.RealNet)
+					assertResultsEqual(t, seq, real, seqVerdict, realVerdict)
 				})
-				if err != nil {
-					t.Fatalf("mode %d: %v", mode, err)
-				}
-				return res
 			}
-			assertBaselinesEqual(t, run(netsim.Sequential), run(netsim.RealNet))
-		})
+		}
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 // runNode is the node side of the protocol: handshake, then one
 // step-and-reply per ROUND frame until a CRASH or STOP frame ends the
 // run. pick resolves the welcome to this node's machine — in-process
-// runs index a shared slice, worker processes build from the system
-// registry. encodeOut serialises the machine's output for the OUTPUT
+// runs index a shared slice, worker processes build with Join's
+// builder. encodeOut serialises the machine's output for the OUTPUT
 // frame; nil means "no wire output" (in-process runs return it through
 // the call instead). The returned output is the machine's final — or
 // crash-frozen — Output(), valid whenever id >= 0, even if err is the

@@ -14,25 +14,26 @@ import (
 // Join split the same protocol across processes: a coordinator serves
 // the run on a real listener, and each worker process joins with a batch
 // of node connections. Workers cannot share a machines slice with the
-// coordinator, so machines are built from a registered system factory
-// named in the WELCOME frame, from parameters (n, alpha, seed, pOne)
-// that deterministically derive every node's machine and inputs —
+// coordinator, so the worker's builder rebuilds the machines of the
+// system named in the WELCOME frame from parameters (n, alpha, seed,
+// pOne) that deterministically derive every node's machine and inputs —
 // the same derivation the simulator-side caller uses, so the two ends
 // cannot drift. Outputs return as gob (register concrete output types
-// with gob.Register in the same init that registers the factory).
+// with gob.Register). internal/dst's protocol registry supplies the
+// builder (dst.Machines); this package keeps no table of systems.
 
-// SystemParams are the run parameters a system factory builds from.
+// SystemParams are the run parameters a builder builds from.
 type SystemParams struct {
 	N     int
 	Alpha float64
 	Seed  uint64
 	// POne parameterises input distributions that need it (agreement's
-	// one-bit inputs); factories that don't can ignore it.
+	// one-bit inputs); builders that don't can ignore it.
 	POne float64
 }
 
-// SystemSpec names a registered system and its input parameter,
-// broadcast to workers in the WELCOME frame.
+// SystemSpec names the system and its input parameter, broadcast to
+// workers in the WELCOME frame.
 type SystemSpec struct {
 	Name string
 	POne float64
@@ -43,34 +44,6 @@ type SystemSpec struct {
 type systemSpec struct {
 	name string
 	pOne float64
-}
-
-var (
-	systemMu  sync.RWMutex
-	systemReg = map[string]func(SystemParams) ([]netsim.Machine, error){}
-)
-
-// RegisterSystem registers a machine factory under a name (init-time;
-// panics on duplicates). The factory must be deterministic in its
-// parameters: every worker rebuilds the full machine slice and picks its
-// own nodes from it.
-func RegisterSystem(name string, build func(SystemParams) ([]netsim.Machine, error)) {
-	if name == "" || build == nil {
-		panic("realnet: RegisterSystem needs a name and a factory")
-	}
-	systemMu.Lock()
-	defer systemMu.Unlock()
-	if _, ok := systemReg[name]; ok {
-		panic(fmt.Sprintf("realnet: system %q already registered", name))
-	}
-	systemReg[name] = build
-}
-
-func lookupSystem(name string) (func(SystemParams) ([]netsim.Machine, error), bool) {
-	systemMu.RLock()
-	defer systemMu.RUnlock()
-	b, ok := systemReg[name]
-	return b, ok
 }
 
 // Serve coordinates an all-remote run on ln: n workers must Join before
@@ -90,10 +63,12 @@ func Serve(cfg Config, spec SystemSpec, ln net.Listener) (*netsim.Result, error)
 }
 
 // Join connects nodes worker connections to a coordinator at addr and
-// runs their node loops to completion. Machines come from the system
-// factory the coordinator names; the factory output is cached so a
-// worker hosting many nodes builds the machine slice once.
-func Join(addr string, nodes int) error {
+// runs their node loops to completion. build rebuilds the machines of
+// the system the coordinator names; it must be deterministic in its
+// arguments, since every worker rebuilds the full machine slice and
+// picks its own nodes from it. Its output is cached so a worker hosting
+// many nodes builds the machine slice once.
+func Join(addr string, nodes int, build func(system string, p SystemParams) ([]netsim.Machine, error)) error {
 	if nodes < 1 {
 		return fmt.Errorf("realnet: Join needs at least one node, got %d", nodes)
 	}
@@ -104,10 +79,6 @@ func Join(addr string, nodes int) error {
 	pick := func(w welcome) (netsim.Machine, error) {
 		if w.system == "" {
 			return nil, fmt.Errorf("realnet: coordinator announced no system; in-process runs cannot be joined")
-		}
-		build, ok := lookupSystem(w.system)
-		if !ok {
-			return nil, fmt.Errorf("realnet: system %q not registered in this worker", w.system)
 		}
 		params := SystemParams{N: w.n, Alpha: w.alpha, Seed: w.seed, POne: w.pOne}
 		mu.Lock()
@@ -120,7 +91,7 @@ func Join(addr string, nodes int) error {
 		machines, ok := bySystem[w.system]
 		if !ok {
 			var err error
-			machines, err = build(params)
+			machines, err = build(w.system, params)
 			if err != nil {
 				return nil, err
 			}

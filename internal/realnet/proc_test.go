@@ -6,57 +6,37 @@ package realnet_test
 // simulator's.
 
 import (
+	"fmt"
 	"net"
 	"testing"
 
-	"sublinear/internal/core"
+	"sublinear/internal/dst"
+	"sublinear/internal/fault"
 	"sublinear/internal/netsim"
 	"sublinear/internal/realnet"
 )
 
-func sequentialReference(t *testing.T, system string, n int, alpha float64, seed uint64, pOne float64) uint64 {
-	t.Helper()
-	cfg := core.RunConfig{N: n, Alpha: alpha, Seed: seed}
-	switch system {
-	case "election":
-		res, err := core.RunElection(cfg)
-		if err != nil {
-			t.Fatalf("sequential %s: %v", system, err)
-		}
-		return res.Digest
-	case "agreement":
-		res, err := core.RunAgreement(cfg, core.DeriveAgreementInputs(n, seed, pOne))
-		if err != nil {
-			t.Fatalf("sequential %s: %v", system, err)
-		}
-		return res.Digest
-	case "minagree":
-		res, err := core.RunMinAgreement(cfg, core.DeriveMinAgreementValues(n, seed))
-		if err != nil {
-			t.Fatalf("sequential %s: %v", system, err)
-		}
-		return res.Digest
-	default:
-		t.Fatalf("unknown system %q", system)
-		return 0
-	}
-}
-
-// TestServeJoinMatchesSequential runs each core system through the
-// Serve/Join split — the coordinator knows only the system name, the
-// two worker loops rebuild machines and coins from the welcome frame —
-// and checks the digest against the sequential engine.
+// TestServeJoinMatchesSequential runs every registered clique system
+// through the Serve/Join split — the coordinator knows only the system
+// name, the two worker loops rebuild machines and coins from the
+// welcome frame through dst.Machines — and checks the digest against
+// the sequential engine.
 func TestServeJoinMatchesSequential(t *testing.T) {
 	const (
 		n     = 32
 		alpha = 0.8
 		seed  = 21
 	)
-	for _, system := range []string{"election", "agreement", "minagree"} {
+	for _, system := range dst.AllSystems() {
+		sys, _ := dst.Lookup(system)
+		if sys.Topology != "" {
+			continue
+		}
 		t.Run(system, func(t *testing.T) {
-			cfg, spec, err := core.RealnetSpec(system, n, alpha, seed, 0)
+			c := dst.Case{System: system, N: n, Alpha: alpha, Seed: seed, Schedule: fault.Schedule{N: n}}
+			cfg, spec, err := dst.RealnetConfig(c)
 			if err != nil {
-				t.Fatalf("spec: %v", err)
+				t.Fatalf("config: %v", err)
 			}
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
@@ -64,8 +44,8 @@ func TestServeJoinMatchesSequential(t *testing.T) {
 			}
 			joinErr := make(chan error, 2)
 			addr := ln.Addr().String()
-			go func() { joinErr <- realnet.Join(addr, n/2) }()
-			go func() { joinErr <- realnet.Join(addr, n/2) }()
+			go func() { joinErr <- realnet.Join(addr, n/2, dst.Machines) }()
+			go func() { joinErr <- realnet.Join(addr, n/2, dst.Machines) }()
 			res, err := realnet.Serve(cfg, spec, ln)
 			if err != nil {
 				t.Fatalf("serve: %v", err)
@@ -75,16 +55,18 @@ func TestServeJoinMatchesSequential(t *testing.T) {
 					t.Fatalf("join: %v", err)
 				}
 			}
-			if want := sequentialReference(t, system, n, alpha, seed, 0); res.Digest != want {
-				t.Errorf("digest %016x, want sequential %016x", res.Digest, want)
+			ref, failure, err := dst.CheckSequential(c)
+			if err != nil || failure != nil {
+				t.Fatalf("sequential reference: %v %v", err, failure)
+			}
+			if res.Digest != ref.Digest {
+				t.Errorf("digest %016x, want sequential %016x", res.Digest, ref.Digest)
 			}
 			if len(res.Outputs) != n {
 				t.Fatalf("%d outputs, want %d", len(res.Outputs), n)
 			}
-			for u, out := range res.Outputs {
-				if out == nil {
-					t.Errorf("node %d output missing (gob round-trip failed?)", u)
-				}
+			if got := fmt.Sprintf("%+v", res.Outputs); got != ref.Outputs {
+				t.Errorf("outputs diverge (gob round-trip?):\n  socket:    %s\n  simulator: %s", got, ref.Outputs)
 			}
 		})
 	}
@@ -100,22 +82,18 @@ func TestServeJoinWithFaults(t *testing.T) {
 		alpha = 0.8
 		seed  = 33
 	)
-	sched := crashSchedule(n, 3, seed, policies[2].policy)
-	adv, err := sched.Adversary()
+	c := dst.Case{System: "agreement", N: n, Alpha: alpha, Seed: seed,
+		Schedule: crashSchedule(n, 3, seed, policies[2].policy)}
+	cfg, spec, err := dst.RealnetConfig(c)
 	if err != nil {
-		t.Fatalf("adversary: %v", err)
+		t.Fatalf("config: %v", err)
 	}
-	cfg, spec, err := core.RealnetSpec("agreement", n, alpha, seed, 0)
-	if err != nil {
-		t.Fatalf("spec: %v", err)
-	}
-	cfg.Adversary = adv
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
 	joinErr := make(chan error, 1)
-	go func() { joinErr <- realnet.Join(ln.Addr().String(), n) }()
+	go func() { joinErr <- realnet.Join(ln.Addr().String(), n, dst.Machines) }()
 	res, err := realnet.Serve(cfg, spec, ln)
 	if err != nil {
 		t.Fatalf("serve: %v", err)
@@ -123,22 +101,17 @@ func TestServeJoinWithFaults(t *testing.T) {
 	if err := <-joinErr; err != nil {
 		t.Fatalf("join: %v", err)
 	}
-	refAdv, err := sched.Adversary()
-	if err != nil {
-		t.Fatalf("adversary: %v", err)
-	}
-	ref, err := core.RunAgreement(core.RunConfig{
-		N: n, Alpha: alpha, Seed: seed, Adversary: refAdv, Mode: netsim.Sequential,
-	}, core.DeriveAgreementInputs(n, seed, 0))
+	sys, _ := dst.Lookup(c.System)
+	ref, err := sys.Run(c, netsim.Sequential, nil)
 	if err != nil {
 		t.Fatalf("sequential reference: %v", err)
 	}
 	if res.Digest != ref.Digest {
 		t.Errorf("digest %016x, want sequential %016x", res.Digest, ref.Digest)
 	}
-	for _, c := range sched.Crashes {
-		if res.CrashedAt[c.Node] != c.Round {
-			t.Errorf("CrashedAt[%d] = %d, want %d", c.Node, res.CrashedAt[c.Node], c.Round)
+	for _, cr := range c.Schedule.Crashes {
+		if res.CrashedAt[cr.Node] != cr.Round {
+			t.Errorf("CrashedAt[%d] = %d, want %d", cr.Node, res.CrashedAt[cr.Node], cr.Round)
 		}
 	}
 }

@@ -96,7 +96,7 @@ type welcome struct {
 	seed      uint64
 	tracing   bool
 	system    string  // "" for in-process runs: the dialer brought its own machine
-	pOne      float64 // input-distribution parameter forwarded to system factories
+	pOne      float64 // input-distribution parameter forwarded to the worker's builder
 }
 
 func appendWelcome(dst []byte, w welcome) []byte {

@@ -15,13 +15,16 @@ import (
 	"sort"
 	"strings"
 
+	"sublinear/internal/dst"
 	"sublinear/internal/fault"
 	"sublinear/internal/topo"
 )
 
-// Protocols accepted by JobSpec.Protocol. The core three run the paper's
-// algorithms through the public sublinear API; the baseline names run the
-// Table-I comparators; "experiment" replays a registered experiment
+// Protocols accepted by JobSpec.Protocol. Every protocol registered in
+// internal/dst that judges its runs (System.Evaluate) is accepted: the
+// core three run the paper's algorithms through the public sublinear
+// API, the rest — the Table-I comparators — run through the registry;
+// "experiment" replays a registered experiment
 // (E1–E14) from the shared internal/experiment registry; "dst" runs a
 // deterministic-simulation fuzzing campaign (internal/dst) over the real
 // protocols, where Reps is the case budget and a "success" is a case
@@ -38,33 +41,26 @@ const (
 	ProtoMC         = "mc"
 )
 
-// baselineProtocols maps the JobSpec spelling of each Table-I comparator.
-var baselineProtocols = map[string]bool{
-	"gk": true, "floodset": true, "gossip": true, "rotating": true,
-	"allpairs": true, "kutten": true, "amp": true,
-}
-
-// topologyProtocols run on internal/topo instead of the clique engines
-// and accept the Topology field: leader election on diameter-two graphs
-// ("d2election") and on well-connected expanders ("wcelection").
-// defaultTopology is each protocol's native graph family, resolved into
-// the spec so two spellings of the default share one cache entry.
-var defaultTopology = map[string]string{
-	"d2election": "cluster-d2",
-	"wcelection": "wellconnected",
-}
-
 // Protocols returns every accepted protocol name, sorted.
 func Protocols() []string {
-	out := []string{ProtoElection, ProtoAgreement, ProtoMinAgree, ProtoExperiment, ProtoDST, ProtoMC}
-	for p := range baselineProtocols {
-		out = append(out, p)
-	}
-	for p := range defaultTopology {
-		out = append(out, p)
+	out := []string{ProtoExperiment, ProtoDST, ProtoMC}
+	for _, name := range dst.AllSystems() {
+		if runnable(name) != nil {
+			out = append(out, name)
+		}
 	}
 	sort.Strings(out)
 	return out
+}
+
+// runnable returns the registered system a run job names, or nil when
+// the name is no system that judges its runs.
+func runnable(protocol string) *dst.System {
+	sys, err := dst.Lookup(protocol)
+	if err != nil || sys.Evaluate == nil {
+		return nil
+	}
+	return sys
 }
 
 // JobSpec is one simulation job as submitted over the API. The zero value
@@ -99,8 +95,9 @@ type JobSpec struct {
 	Engine string `json:"engine,omitempty"`
 	// Topology names the graph family a topology protocol runs on (see
 	// topo.TopologyNames); empty resolves the protocol's native family
-	// (cluster-d2 for d2election, wellconnected for wcelection). Only
-	// valid for topology protocols.
+	// (its registered dst.System.Topology: cluster-d2 for d2election,
+	// wellconnected for wcelection). Only valid for protocols that have
+	// one.
 	Topology string `json:"topology,omitempty"`
 	// Explicit runs the explicit extension of election/agreement.
 	Explicit bool `json:"explicit,omitempty"`
@@ -170,9 +167,9 @@ func (s JobSpec) Normalize(lim Limits) (JobSpec, error) {
 		out.Tenant = DefaultTenant
 	}
 	out.Protocol = strings.ToLower(strings.TrimSpace(s.Protocol))
-	core := out.Protocol == ProtoElection || out.Protocol == ProtoAgreement || out.Protocol == ProtoMinAgree
+	sys := runnable(out.Protocol)
 	switch {
-	case core, baselineProtocols[out.Protocol], defaultTopology[out.Protocol] != "":
+	case sys != nil:
 	case out.Protocol == ProtoDST:
 		// The campaign picks its own sizes and adversaries; only the seed
 		// and the case budget (Reps) matter. Zero the rest so irrelevant
@@ -295,9 +292,11 @@ func (s JobSpec) Normalize(lim Limits) (JobSpec, error) {
 	default:
 		return out, fmt.Errorf("unknown engine %q (want seq|concurrent)", out.Engine)
 	}
-	if native := defaultTopology[out.Protocol]; native != "" {
+	// The native family is resolved into the spec so two spellings of
+	// the default share one cache entry.
+	if sys.Topology != "" {
 		if out.Topology == "" {
-			out.Topology = native
+			out.Topology = sys.Topology
 		}
 		if !knownTopology(out.Topology) {
 			return out, fmt.Errorf("unknown topology %q (want one of %s)",

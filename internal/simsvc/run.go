@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"sublinear"
-	"sublinear/internal/baseline"
 	"sublinear/internal/dst"
 	"sublinear/internal/experiment"
 	"sublinear/internal/fault"
@@ -212,7 +211,7 @@ func runOnce(spec JobSpec, seed uint64, tracer netsim.Tracer) (repOutcome, error
 	case ProtoElection, ProtoAgreement, ProtoMinAgree:
 		return runCore(spec, seed, tracer)
 	default:
-		return runBaseline(spec, seed, tracer)
+		return runSystem(spec, seed, tracer)
 	}
 }
 
@@ -231,16 +230,6 @@ func coreOptions(spec JobSpec, seed uint64, tracer netsim.Tracer) sublinear.Opti
 		}
 	}
 	return opts
-}
-
-// engineWorkers maps the spec's engine name onto the pipeline's worker
-// count for a topology job: the sequential engine is the single-worker
-// schedule, the concurrent engine uses GOMAXPROCS sharding.
-func engineWorkers(engine string) int {
-	if engine == "concurrent" {
-		return 0
-	}
-	return 1
 }
 
 func parsePolicy(s string) sublinear.DropPolicy {
@@ -273,12 +262,7 @@ func runCore(spec JobSpec, seed uint64, tracer netsim.Tracer) (repOutcome, error
 		}
 		return repOutcome{res.Counters, res.Rounds, res.Eval.Success, res.Eval.Reason}, nil
 	default: // minagree
-		src := rng.New(seed ^ 0x313a6)
-		values := make([]uint64, spec.N)
-		for i := range values {
-			values[i] = uint64(src.Int64n(int64(spec.N) * 16))
-		}
-		res, err := sublinear.AgreeMin(opts, values)
+		res, err := sublinear.AgreeMin(opts, minAgreeValues(spec.N, seed))
 		if err != nil {
 			return repOutcome{}, err
 		}
@@ -286,59 +270,77 @@ func runCore(spec JobSpec, seed uint64, tracer netsim.Tracer) (repOutcome, error
 	}
 }
 
-// runBaseline dispatches the Table-I comparators with the same adversary
+// minAgreeValues draws the service's min-agreement inputs: values
+// below 16n.
+func minAgreeValues(n int, seed uint64) []uint64 {
+	src := rng.New(seed ^ 0x313a6)
+	values := make([]uint64, n)
+	for i := range values {
+		values[i] = uint64(src.Int64n(int64(n) * 16))
+	}
+	return values
+}
+
+// crashWindow is the latest round a protocol's random crash plan crashes
+// a node in: the protocols that run f+1 rounds get all of them. 0 means
+// the protocol runs fault-free.
+func crashWindow(protocol string, f int) int {
+	switch protocol {
+	case "gk", "gossip":
+		return 20
+	case "floodset", "rotating", "allpairs":
+		return f + 1
+	case "d2election", "wcelection":
+		return 3
+	}
+	return 0 // kutten and amp assume no crashes
+}
+
+// runSystem runs one repetition of a registered system with the
+// service's own input derivation and crash plans, the same adversary
 // family the experiment harness uses.
-func runBaseline(spec JobSpec, seed uint64, tracer netsim.Tracer) (repOutcome, error) {
+func runSystem(spec JobSpec, seed uint64, tracer netsim.Tracer) (repOutcome, error) {
+	sys := runnable(spec.Protocol)
+	if sys == nil {
+		return repOutcome{}, fmt.Errorf("unknown protocol %q", spec.Protocol)
+	}
 	n, f := spec.N, *spec.F
-	inputs := sublinear.RandomInputs(n, spec.POne, seed^0xbeef)
-	src := rng.New(seed ^ 0xadd5)
-	// Normalize has already bounded n, f, and the policy, so the only
-	// way the constructor can fail here is a harness bug — surface it.
-	plan := func(horizon int) *fault.Plan {
-		return fault.Must(fault.NewRandomPlan(n, f, horizon, parsePolicy(spec.Policy), src))
+	s := dst.Setup{N: n, Alpha: spec.Alpha, Seed: seed, F: f}
+	switch sys.Input {
+	case dst.BitInputs:
+		s.Bits = sublinear.RandomInputs(n, spec.POne, seed^0xbeef)
+	case dst.ValueInputs:
+		s.Values = minAgreeValues(n, seed)
 	}
-	var (
-		res *baseline.Result
-		err error
-	)
-	switch spec.Protocol {
-	case "gk":
-		res, err = baseline.RunGK(baseline.GKConfig{N: n, Seed: seed, Tracer: tracer}, inputs, plan(20))
-	case "floodset":
-		res, err = baseline.RunFloodSet(baseline.FloodSetConfig{N: n, Seed: seed, F: f, Tracer: tracer}, inputs, plan(f+1))
-	case "gossip":
-		res, err = baseline.RunGossip(baseline.GossipConfig{N: n, Seed: seed, Tracer: tracer}, inputs, plan(20))
-	case "rotating":
-		res, err = baseline.RunRotating(baseline.RotatingConfig{N: n, Seed: seed, F: f, Tracer: tracer}, inputs, plan(f+1))
-	case "allpairs":
-		res, err = baseline.RunAllPairs(baseline.AllPairsConfig{N: n, Seed: seed, F: f, Tracer: tracer}, plan(f+1))
-	case "kutten":
-		res, err = baseline.RunKutten(baseline.KuttenConfig{N: n, Seed: seed, Tracer: tracer})
-	case "amp":
-		res, err = baseline.RunAMP(baseline.AMPConfig{N: n, Seed: seed, Tracer: tracer}, inputs)
-	case "d2election":
-		tp, terr := topo.ResolveTopology(spec.Topology, n, seed)
-		if terr != nil {
-			return repOutcome{}, terr
+	if sys.Topology != "" {
+		tp, err := topo.ResolveTopology(spec.Topology, n, seed)
+		if err != nil {
+			return repOutcome{}, err
 		}
-		res, err = baseline.RunD2Election(baseline.D2Config{
-			N: n, Seed: seed, Topology: tp, Workers: engineWorkers(spec.Engine), Tracer: tracer,
-		}, plan(3))
-	case "wcelection":
-		tp, terr := topo.ResolveTopology(spec.Topology, n, seed)
-		if terr != nil {
-			return repOutcome{}, terr
-		}
-		res, err = baseline.RunWCElection(baseline.WCConfig{
-			N: n, Seed: seed, Topology: tp, Workers: engineWorkers(spec.Engine), Tracer: tracer,
-		}, plan(3))
-	default:
-		return repOutcome{}, fmt.Errorf("unknown baseline %q", spec.Protocol)
+		s.Topology = tp
 	}
+	cfg, machines, err := sys.Build(s)
 	if err != nil {
 		return repOutcome{}, err
 	}
-	return repOutcome{res.Counters, res.Rounds, res.Success, res.Reason}, nil
+	cfg.Tracer = tracer
+	// Normalize has already bounded n, f, and the policy, so the only
+	// way the plan constructor can fail here is a harness bug — surface
+	// it.
+	var adv netsim.Adversary
+	if w := crashWindow(spec.Protocol, f); w > 0 {
+		adv = fault.Must(fault.NewRandomPlan(n, f, w, parsePolicy(spec.Policy), rng.New(seed^0xadd5)))
+	}
+	mode := netsim.Sequential
+	if spec.Engine == "concurrent" {
+		mode = netsim.Parallel
+	}
+	res, err := netsim.Execute(mode, cfg, machines, adv)
+	if err != nil {
+		return repOutcome{}, err
+	}
+	ok, reason := sys.Evaluate(s, res)
+	return repOutcome{res.Counters, res.Rounds, ok, reason}, nil
 }
 
 // runDST runs one deterministic-simulation fuzzing campaign over the

@@ -79,15 +79,14 @@ func TestRecordTracePicksFailedRep(t *testing.T) {
 }
 
 // TestRunSpecTracesEveryProtocol runs one traced repetition of each
-// core protocol and each Table-I baseline through runSpec and requires
-// a verified witness trace: the engines behind every protocol must all
-// feed the recorder coherently.
+// run protocol — the core three and every Table-I baseline — through
+// runSpec and requires a verified witness trace: the engines behind
+// every protocol must all feed the recorder coherently.
 func TestRunSpecTracesEveryProtocol(t *testing.T) {
-	protos := []string{ProtoElection, ProtoAgreement, ProtoMinAgree}
-	for p := range baselineProtocols {
-		protos = append(protos, p)
-	}
-	for _, proto := range protos {
+	for _, proto := range Protocols() {
+		if runnable(proto) == nil {
+			continue
+		}
 		t.Run(proto, func(t *testing.T) {
 			spec, err := JobSpec{Protocol: proto, N: 64, Alpha: 0.75, Seed: 11, Trace: true}.Normalize(DefaultLimits)
 			if err != nil {

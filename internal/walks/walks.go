@@ -86,23 +86,9 @@ type walkToken struct {
 func (walkToken) Kind() string { return "token" }
 
 func (walkToken) Bits(n int) int {
-	// id(32) + carried(<=62, the rank space) + step(16) + flag.
-	return 32 + rankBits(n) + 16 + 1
-}
-
-func rankBits(n int) int {
-	b := 0
-	for v := 1; v < n; v <<= 1 {
-		b++
-	}
-	b *= 4
-	if b > 62 {
-		b = 62
-	}
-	if b < 4 {
-		b = 4
-	}
-	return b
+	// id(32) + carried(4 ceil(log2 n) <= 62, the rank space) + step(16)
+	// + flag.
+	return 32 + min(4*netsim.BitsLen(n), 62) + 16 + 1
 }
 
 // Output is a node's result.

@@ -8,7 +8,8 @@ import (
 	"time"
 
 	"sublinear"
-	"sublinear/internal/core"
+	"sublinear/internal/dst"
+	"sublinear/internal/fault"
 	"sublinear/internal/realnet"
 	"sublinear/internal/rng"
 	"sublinear/internal/trace"
@@ -138,7 +139,9 @@ func TestSoakRealnetChaos(t *testing.T) {
 		seed := src.Uint64()
 		victim := src.Intn(n)
 
-		cfg, spec, err := core.RealnetSpec(system, n, alpha, seed, 0)
+		cfg, spec, err := dst.RealnetConfig(dst.Case{
+			System: system, N: n, Alpha: alpha, Seed: seed, Schedule: fault.Schedule{N: n},
+		})
 		if err != nil {
 			t.Fatalf("run %d (%s): %v", i, system, err)
 		}
@@ -181,7 +184,7 @@ func TestSoakRealnetChaos(t *testing.T) {
 			t.Fatal(err)
 		}
 		joinErr := make(chan error, 1)
-		go func(addr string) { joinErr <- realnet.Join(addr, n) }(ln.Addr().String())
+		go func(addr string) { joinErr <- realnet.Join(addr, n, dst.Machines) }(ln.Addr().String())
 		res, err := realnet.Serve(cfg, spec, ln)
 		if err != nil {
 			t.Fatalf("run %d (%s seed=%d kill=%d/%d): %v", i, system, seed, victim, killRound, err)

@@ -142,9 +142,6 @@ func Elect(opts Options) (*ElectionResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.TCP {
-		return core.RunElectionOverTCP(cfg)
-	}
 	return core.RunElection(cfg)
 }
 
@@ -157,9 +154,6 @@ func AgreeMin(opts Options, values []uint64) (*MinAgreementResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.TCP {
-		return core.RunMinAgreementOverTCP(cfg, values)
-	}
 	return core.RunMinAgreement(cfg, values)
 }
 
@@ -169,9 +163,6 @@ func Agree(opts Options, inputs []int) (*AgreementResult, error) {
 	cfg, err := opts.runConfig()
 	if err != nil {
 		return nil, err
-	}
-	if opts.TCP {
-		return core.RunAgreementOverTCP(cfg, inputs)
 	}
 	return core.RunAgreement(cfg, inputs)
 }
@@ -243,7 +234,10 @@ func (opts Options) runConfig() (core.RunConfig, error) {
 		Record: opts.Record,
 		Tracer: opts.Tracer,
 	}
-	if opts.Concurrent {
+	switch {
+	case opts.TCP:
+		cfg.Mode = netsim.RealNet
+	case opts.Concurrent:
 		cfg.Mode = netsim.Parallel
 	}
 	if opts.Faults == nil {
