@@ -52,7 +52,10 @@ type agreementMachine struct {
 	announcedBit int // -1 = none
 }
 
-var _ netsim.Machine = (*agreementMachine)(nil)
+var (
+	_ netsim.Machine = (*agreementMachine)(nil)
+	_ netsim.Sleeper = (*agreementMachine)(nil)
+)
 
 func newAgreementMachine(d derived, input int) *agreementMachine {
 	m := &agreementMachine{d: d, input: input, announcedBit: -1}
@@ -198,6 +201,11 @@ func (m *agreementMachine) announce(env *netsim.Env) []netsim.Send {
 		sends = append(sends, netsim.Send{Port: p, Payload: valueAnnounce{bit: bit}})
 	}
 	return sends
+}
+
+// NextWake implements netsim.Sleeper with the core wake rule (nextWake).
+func (m *agreementMachine) NextWake(round int) int {
+	return nextWake(round, m.isCandidate || !m.out.Empty(), m.endRound)
 }
 
 func (m *agreementMachine) Done() bool {

@@ -119,7 +119,10 @@ type electionMachine struct {
 	stats ElectionNodeStats
 }
 
-var _ netsim.Machine = (*electionMachine)(nil)
+var (
+	_ netsim.Machine = (*electionMachine)(nil)
+	_ netsim.Sleeper = (*electionMachine)(nil)
+)
 
 func newElectionMachine(d derived) *electionMachine {
 	m := &electionMachine{d: d}
@@ -384,6 +387,32 @@ func (m *electionMachine) announce(env *netsim.Env) []netsim.Send {
 		sends = append(sends, netsim.Send{Port: p, Payload: leaderAnnounce{rank: m.confirmed}})
 	}
 	return sends
+}
+
+// NextWake implements netsim.Sleeper with the core wake rule (nextWake):
+// a candidate acts every round, and a referee with queued sends flushes
+// one per port per round.
+func (m *electionMachine) NextWake(round int) int {
+	return nextWake(round, m.isCandidate || !m.out.Empty(), m.endRound)
+}
+
+// nextWake is the wake rule the core machines share (netsim.Sleeper).
+// A busy node — a candidate, or any node with queued sends — steps every
+// round. Any other node's Step with an empty inbox sends nothing, draws
+// no coins and changes only lastRound, which Done reads through two
+// guards alone: lastRound < 2 and lastRound >= endRound (Output reads it
+// for candidates only). So the node must step in round 2 and in
+// endRound, and otherwise only when mail arrives.
+func nextWake(round int, busy bool, endRound int) int {
+	switch {
+	case busy:
+		return round + 1
+	case round < 2:
+		return 2
+	case round < endRound:
+		return endRound
+	}
+	return 0
 }
 
 func (m *electionMachine) Done() bool {

@@ -66,7 +66,10 @@ type minAgreeMachine struct {
 	out netsim.EdgeQueue
 }
 
-var _ netsim.Machine = (*minAgreeMachine)(nil)
+var (
+	_ netsim.Machine = (*minAgreeMachine)(nil)
+	_ netsim.Sleeper = (*minAgreeMachine)(nil)
+)
 
 func newMinAgreeMachine(d derived, input uint64) *minAgreeMachine {
 	m := &minAgreeMachine{d: d, input: input, refMin: ^uint64(0), sentMin: ^uint64(0)}
@@ -161,6 +164,11 @@ func (m *minAgreeMachine) pushTo(port int) {
 	}
 	m.refSent[port] = m.refMin
 	m.out.Enqueue(port, valueMsg{v: m.refMin})
+}
+
+// NextWake implements netsim.Sleeper with the core wake rule (nextWake).
+func (m *minAgreeMachine) NextWake(round int) int {
+	return nextWake(round, m.isCandidate || !m.out.Empty(), m.endRound)
 }
 
 func (m *minAgreeMachine) Done() bool {

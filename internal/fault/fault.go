@@ -43,7 +43,10 @@ type Plan struct {
 	coin       *rng.Source
 }
 
-var _ netsim.Adversary = (*Plan)(nil)
+var (
+	_ netsim.Adversary     = (*Plan)(nil)
+	_ netsim.CrashCalendar = (*Plan)(nil)
+)
 
 // NewRandomPlan selects f faulty nodes uniformly at random, assigns each a
 // uniform crash round in [1, horizon], and applies the given drop policy.
@@ -152,6 +155,11 @@ func (p *Plan) Faulty(node int) bool { return p.faulty[node] }
 func (p *Plan) CrashNow(node, round int, _ []netsim.Send) bool {
 	return p.crashRound[node] != 0 && round >= p.crashRound[node]
 }
+
+// CrashRound implements netsim.CrashCalendar: node's scheduled crash
+// round, or 0 if it never crashes. CrashNow is false before it and true
+// in it, so the engine asks only then.
+func (p *Plan) CrashRound(node int) int { return p.crashRound[node] }
 
 // DeliverOnCrash applies the plan's drop policy.
 func (p *Plan) DeliverOnCrash(_, _, msgIndex int, _ netsim.Send) bool {

@@ -107,8 +107,9 @@ type ScheduleAdversary struct {
 }
 
 var (
-	_ netsim.Adversary    = (*ScheduleAdversary)(nil)
-	_ netsim.CrashPlanner = (*ScheduleAdversary)(nil)
+	_ netsim.Adversary     = (*ScheduleAdversary)(nil)
+	_ netsim.CrashPlanner  = (*ScheduleAdversary)(nil)
+	_ netsim.CrashCalendar = (*ScheduleAdversary)(nil)
 )
 
 // Faulty reports whether node is scheduled to crash.
@@ -143,6 +144,12 @@ func (a *ScheduleAdversary) NextCrashRound(round int) int {
 	}
 	return next
 }
+
+// CrashRound implements netsim.CrashCalendar: node's scheduled crash
+// round, or 0 if it is not scheduled to crash. The engine runs a
+// schedule by this calendar and calls NextCrashRound only when a
+// decorator hides CrashRound.
+func (a *ScheduleAdversary) CrashRound(node int) int { return a.round[node] }
 
 // DeliverOnCrash applies the crashing node's scheduled drop policy.
 func (a *ScheduleAdversary) DeliverOnCrash(node, _, msgIndex int, _ netsim.Send) bool {

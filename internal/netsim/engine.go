@@ -1,7 +1,9 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"sublinear/internal/metrics"
 	"sublinear/internal/rng"
@@ -78,16 +80,18 @@ func NewEngine(cfg Config, machines []Machine, adv Adversary) (*Engine, error) {
 // are in flight, or MaxRounds elapses. It returns an error only for
 // model violations in strict mode.
 //
-// Every round delivers the previous round's messages, steps each live
-// machine, decides crashes, and processes the new outboxes — all on the
+// Every round delivers the previous round's messages, steps the round's
+// active machines (every live one unless some machine is a Sleeper; see
+// wake.go), decides crashes, and processes the new outboxes — all on the
 // sharded pipeline (see shard.go). Adversary calls stay on the
 // coordination thread in node order, the per-message work fans out over
 // the worker pool, and everything order-sensitive folds back in node
 // order at the round barrier, so results are identical across modes and
 // worker counts. In rounds where no crash can occur — no live faulty
-// node remains, or a CrashPlanner adversary has published a crash-free
-// window — the three pipeline stages fuse into a single dispatch, so
-// the steady state pays one barrier per round instead of three.
+// node remains, a CrashCalendar names no node for the round, or a
+// CrashPlanner adversary has published a crash-free window — the three
+// pipeline stages fuse into a single dispatch, so the steady state pays
+// one barrier per round instead of three.
 func (e *Engine) Run() (*Result, error) {
 	n := e.cfg.N
 	workers := e.cfg.workerCount()
@@ -105,16 +109,26 @@ func (e *Engine) Run() (*Result, error) {
 	defer pipe.close()
 
 	// The faulty set is static (see Adversary), so it is consulted once
-	// up front. liveFaulty tracks how many faulty nodes have yet to
-	// crash: when it reaches zero no adversary call can change the
-	// execution and every remaining round runs on the fused path.
+	// up front, and so is a CrashCalendar's round for each faulty node.
+	// liveFaulty tracks how many faulty nodes have yet to crash: when it
+	// reaches zero no adversary call can change the execution and every
+	// remaining round runs on the fused path.
+	calendar, _ := e.adv.(CrashCalendar)
 	liveFaulty := 0
 	for u := 0; u < n; u++ {
-		if e.adv.Faulty(u) {
-			pipe.faulty[u] = true
-			liveFaulty++
+		if !e.adv.Faulty(u) {
+			continue
+		}
+		liveFaulty++
+		if calendar == nil {
+			pipe.faulty = append(pipe.faulty, int32(u))
+		} else if r := calendar.CrashRound(u); r >= 1 && r <= e.cfg.MaxRounds {
+			pipe.due = append(pipe.due, crashDue{round: r, node: u})
 		}
 	}
+	slices.SortFunc(pipe.due, func(a, b crashDue) int {
+		return cmp.Or(cmp.Compare(a.round, b.round), cmp.Compare(a.node, b.node))
+	})
 	planner, _ := e.adv.(CrashPlanner)
 	windowEnd := 0 // first round that needs a crash pass; recompute when reached
 
@@ -126,7 +140,9 @@ func (e *Engine) Run() (*Result, error) {
 		}
 
 		crashPossible := liveFaulty > 0
-		if crashPossible && planner != nil {
+		if calendar != nil {
+			crashPossible = pipe.dueAt(round)
+		} else if crashPossible && planner != nil {
 			if round >= windowEnd {
 				windowEnd = planner.NextCrashRound(round)
 				if windowEnd < round {
@@ -159,7 +175,8 @@ func (e *Engine) Run() (*Result, error) {
 // returns its outbox, or nil if the machine is crashed. Machines that
 // report Done keep being stepped: Done means "I will not send unless I
 // receive something", which matters for reactive roles (a referee acts
-// only when contacted); it does not halt the machine.
+// only when contacted); it does not halt the machine. Only Sleeper
+// wake-ups let the engine skip a live machine's round.
 func (e *Engine) stepOne(u, round int, inbox []Delivery) []Send {
 	if e.crashedAt[u] != 0 {
 		return nil
@@ -174,7 +191,8 @@ func (e *Engine) stepOne(u, round int, inbox []Delivery) []Send {
 	return out
 }
 
-// emptyOutbox distinguishes "stepped, sent nothing" from "did not step".
+// emptyOutbox distinguishes "stepped, sent nothing" from "did not step"
+// (crashed, or asleep this round).
 var emptyOutbox = make([]Send, 0)
 
 func (e *Engine) allQuiet() bool {

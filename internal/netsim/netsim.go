@@ -157,10 +157,14 @@ func (e *Env) SenderOf(port int) int { return Peer(e.N, e.ID, port) }
 
 // Machine is a per-node protocol state machine.
 //
-// Step is called once per round for every node that has not crashed and
-// has not halted. The inbox holds the deliveries that arrived at the start
-// of this round (messages sent in the previous round); it is empty in
-// round 1. Step returns the messages the node sends this round.
+// Step runs one node's round. Every live node steps in round 1; after
+// that the engine steps a live node in round r when it has deliveries,
+// when a wake-up it asked for is due (see Sleeper), or when its machine
+// does not implement Sleeper — so a machine without the extension is
+// stepped in every round until it crashes. The inbox holds the
+// deliveries that arrived at the start of this round (messages sent in
+// the previous round); it is empty in round 1. Step returns the
+// messages the node sends this round.
 //
 // Done reports that the machine has halted voluntarily; the engine stops
 // once every live machine is done and no messages are in flight.
@@ -173,16 +177,41 @@ type Machine interface {
 	Output() any
 }
 
+// Sleeper is an optional Machine extension that lets the engine skip a
+// node's idle rounds, so a round costs what its active nodes and its
+// messages cost rather than what n costs. After each Step of round r
+// the engine calls NextWake(r): the next round after r in which the
+// machine must be stepped even with an empty inbox, or 0 for "only when
+// a message arrives". The answer is a binding promise about every round
+// strictly between r and that wake-up: there, a Step with an empty inbox
+// would return no sends, would change nothing that Done, Output or a
+// later Step can observe, would draw no coins and would add no
+// annotations. Skipping those Steps is therefore invisible in every
+// observable, the digest included. Mail still steps the node at once,
+// and the engine asks again after that Step. A value at or before r, or
+// past Config.MaxRounds, counts as 0.
+//
+// A sleeping node that the crash pass consults shows the adversary an
+// empty outbox: exactly what its skipped Step would have returned.
+type Sleeper interface {
+	NextWake(round int) int
+}
+
 // Adversary controls crash faults. The engine calls it as follows: the
 // faulty set is static (Faulty — a pure function of the node, which the
-// engine caches once per run); each round, after a faulty live node
-// produced its outbox, CrashNow is consulted once — returning true crashes
-// the node this round, in which case DeliverOnCrash is consulted per
-// outgoing message. CrashNow is called in increasing node order on the
-// engine's coordination thread, so adversaries may keep state and observe
-// outboxes across rounds (the "adaptively choose when and how" power of
-// the paper's static adversary). Once every faulty node has crashed, the
-// engine stops consulting the adversary altogether.
+// engine caches once per run); in each round that may crash a node, the
+// crash pass consults CrashNow for the live faulty nodes, after they
+// produced their outboxes (a node that slept through the round shows an
+// empty one; see Sleeper) — returning true crashes the node this round,
+// in which case DeliverOnCrash is consulted per outgoing message, in
+// outbox order. CrashNow is called in increasing node order on the
+// engine's coordination thread, so adversaries may keep state and
+// observe outboxes across rounds (the "adaptively choose when and how"
+// power of the paper's static adversary). Which rounds and nodes the
+// pass visits depends on the adversary: every round and every live
+// faulty node by default, the published rounds of a CrashPlanner, and
+// only the due nodes of a CrashCalendar. Once every faulty node has
+// crashed, the engine stops consulting the adversary altogether.
 type Adversary interface {
 	Faulty(node int) bool
 	CrashNow(node, round int, outbox []Send) bool
@@ -193,22 +222,35 @@ type Adversary interface {
 // amortize its round barrier. NextCrashRound(round) returns the earliest
 // round >= round in which CrashNow may return true for any live node; a
 // larger return value is a binding promise that every round before it is
-// crash-free, which the engine exploits by skipping the per-round
-// CrashNow consultation and fusing delivery, stepping, and send
-// processing into a single worker dispatch — one barrier per round
-// instead of three — for the whole window. The engine re-asks at the end
-// of each window, so implementations may answer incrementally; they must
-// treat nodes whose CrashNow already returned true as spent (the engine
-// never re-consults a crashed node). An adversary with no crashes left
-// should return a round past Config.MaxRounds. Adversaries that decide
-// crash timing only upon seeing an outbox must not implement
-// CrashPlanner: during a published window they are not consulted at all.
-//
-// Fully scheduled adversaries (fault.Schedule) implement this, so every
-// dst/mc replay runs on the fused path between its scheduled crash
-// rounds; digest identity with the unfused path is pinned by tests.
+// crash-free, which the engine exploits by skipping the crash pass and
+// fusing delivery, stepping, and send processing into a single worker
+// dispatch — one barrier per round instead of three — for the whole
+// window. In a round the planner leaves open, the crash pass still
+// consults every live faulty node. The engine re-asks at the end of each
+// window, so implementations may answer incrementally; they must treat
+// nodes whose CrashNow already returned true as spent (the engine never
+// re-consults a crashed node). An adversary with no crashes left should
+// return a round past Config.MaxRounds. Adversaries that decide crash
+// timing only upon seeing an outbox must not implement CrashPlanner:
+// during a published window they are not consulted at all. An adversary
+// that also implements CrashCalendar is run by its calendar, and
+// NextCrashRound is not called.
 type CrashPlanner interface {
 	NextCrashRound(round int) int
+}
+
+// CrashCalendar is an optional Adversary extension for adversaries that
+// fix every crash round up front (fault.Plan, fault.ScheduleAdversary).
+// CrashRound(node) returns the only round in which the engine needs to
+// consult CrashNow(node, ·), or 0 for never: CrashNow must return false
+// in every earlier round. The engine asks it once per faulty node,
+// during its up-front Faulty scan, and buckets the faulty nodes by that
+// round. Its crash pass then consults CrashNow only for the nodes due in
+// the round, in ascending node order, and a round with no node due runs
+// on the fused path. A due node whose CrashNow returns false is not
+// asked again.
+type CrashCalendar interface {
+	CrashRound(node int) int
 }
 
 // Tracer observes the typed event stream of a run: the execution flight

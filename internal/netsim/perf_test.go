@@ -61,13 +61,39 @@ func (m *fixedPingMachine) Step(_ *Env, round int, _ []Delivery) []Send {
 func (m *fixedPingMachine) Done() bool  { return false }
 func (m *fixedPingMachine) Output() any { return m.last }
 
+// sleepyPingMachine sends one message on port 1 in every k-th round —
+// the rounds where round+phase is a multiple of k — and sleeps in
+// between (Sleeper). With phases spread over the nodes, every round
+// steps about n/k nodes from the wake calendar and n/k more for their
+// mail, so the steady state exercises the calendar and the step bitset.
+type sleepyPingMachine struct {
+	phase, k int
+	payload  benchPayload
+	out      [1]Send
+}
+
+func (m *sleepyPingMachine) Step(_ *Env, round int, _ []Delivery) []Send {
+	if (round+m.phase)%m.k != 0 {
+		return nil
+	}
+	m.payload.bits = 8
+	m.out[0] = Send{Port: 1, Payload: &m.payload}
+	return m.out[:]
+}
+
+func (m *sleepyPingMachine) NextWake(round int) int { return round + m.k - (round+m.phase)%m.k }
+func (m *sleepyPingMachine) Done() bool             { return false }
+func (m *sleepyPingMachine) Output() any            { return nil }
+
 // TestSteadyStateAllocs pins the tentpole's zero-allocation claim: once a
 // run's buffers warm up, extra rounds cost no allocations. It measures
 // whole runs at two round counts and checks that the marginal
 // allocations per extra message stay at zero — construction cost cancels
-// in the subtraction. The workload has a fixed fanout so inbox
+// in the subtraction. The workloads have a fixed fanout so inbox
 // capacities (owned by append's amortized-growth policy, not the engine)
-// stabilize after round one.
+// stabilize after the first rounds: every node pinging every round, and
+// nodes that ping every third round and sleep in between, which keeps
+// the wake calendar and the step bitsets busy.
 func TestSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -77,29 +103,35 @@ func TestSteadyStateAllocs(t *testing.T) {
 		short = 10
 		long  = 210
 	)
-	for _, mode := range []struct {
-		name   string
-		mode   RunMode
-		traced bool
+	for _, workload := range []struct {
+		prefix  string // of the subtest names
+		machine func(u int) Machine
 	}{
-		// Nil-Tracer cases pin the zero-overhead claim for tracing off:
-		// Config.Tracer is nil here, so these bound the exact path every
-		// untraced production run takes.
-		{"sequential", Sequential, false},
-		{"parallel", Parallel, false},
-		// Traced cases bound the engine-side cost of tracing with a no-op
-		// Tracer: the per-sender event buffers recycle across rounds, so
-		// steady-state tracing adds no allocations either (a real recorder
-		// backend adds only its own buffer growth and compression).
-		{"sequential-traced", Sequential, true},
-		{"parallel-traced", Parallel, true},
+		{"", func(int) Machine { return &fixedPingMachine{} }},
+		{"sleepy/", func(u int) Machine { return &sleepyPingMachine{phase: u % 3, k: 3} }},
 	} {
-		t.Run(mode.name, func(t *testing.T) {
-			measure := func(rounds int) float64 {
-				return testing.AllocsPerRun(3, func() {
+		for _, mode := range []struct {
+			name   string
+			mode   RunMode
+			traced bool
+		}{
+			// Nil-Tracer cases pin the zero-overhead claim for tracing off:
+			// Config.Tracer is nil here, so these bound the exact path every
+			// untraced production run takes.
+			{"sequential", Sequential, false},
+			{"parallel", Parallel, false},
+			// Traced cases bound the engine-side cost of tracing with a no-op
+			// Tracer: the per-sender event buffers recycle across rounds, so
+			// steady-state tracing adds no allocations either (a real recorder
+			// backend adds only its own buffer growth and compression).
+			{"sequential-traced", Sequential, true},
+			{"parallel-traced", Parallel, true},
+		} {
+			t.Run(workload.prefix+mode.name, func(t *testing.T) {
+				run := func(rounds int) *Result {
 					machines := make([]Machine, n)
 					for u := range machines {
-						machines[u] = &fixedPingMachine{}
+						machines[u] = workload.machine(u)
 					}
 					cfg := Config{N: n, Alpha: 1, Seed: 42, MaxRounds: rounds}
 					if mode.traced {
@@ -110,20 +142,25 @@ func TestSteadyStateAllocs(t *testing.T) {
 						t.Fatal(err)
 					}
 					eng.Mode = mode.mode
-					if _, err := eng.Run(); err != nil {
+					res, err := eng.Run()
+					if err != nil {
 						t.Fatal(err)
 					}
-				})
-			}
-			extraMsgs := float64((long - short) * n)
-			marginal := (measure(long) - measure(short)) / extraMsgs
-			// The engine itself is allocation-free per message; the budget
-			// of 0.01 allocs/message (one alloc per ~100 messages) absorbs
-			// runtime noise without hiding a real per-message allocation.
-			if marginal > 0.01 {
-				t.Errorf("marginal allocations = %.4f per message, want ~0", marginal)
-			}
-		})
+					return res
+				}
+				measure := func(rounds int) float64 {
+					return testing.AllocsPerRun(3, func() { run(rounds) })
+				}
+				extraMsgs := float64(run(long).Counters.Messages() - run(short).Counters.Messages())
+				marginal := (measure(long) - measure(short)) / extraMsgs
+				// The engine itself is allocation-free per message; the budget
+				// of 0.01 allocs/message (one alloc per ~100 messages) absorbs
+				// runtime noise without hiding a real per-message allocation.
+				if marginal > 0.01 {
+					t.Errorf("marginal allocations = %.4f per message, want ~0", marginal)
+				}
+			})
+		}
 	}
 }
 

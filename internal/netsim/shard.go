@@ -16,14 +16,17 @@ package netsim
 //     sender-shard order, so each inbox sees deliveries in exactly the
 //     order the old per-node slices accumulated — through a stable
 //     counting sort into the shard's contiguous SoA inbox (inbox.go).
-//   - Step (same shards): each shard steps its live machines against
-//     the freshly built inbox slices and records the outboxes.
+//   - Step (same shards): each shard steps the round's active nodes —
+//     receivers, due wake-ups and machines that never sleep (wake.go) —
+//     against the freshly built inbox slices and records the outboxes.
 //   - Crash pass (coordination thread, ascending node order): crash
 //     decisions. The adversary interface is stateful and
 //     order-sensitive, so CrashNow/DeliverOnCrash calls never move off
-//     the coordination thread and never reorder. When the adversary
-//     proves no crash can fire this round (CrashPlanner window, or no
-//     live faulty node remains), this pass is skipped entirely and the
+//     the coordination thread and never reorder. A CrashCalendar names
+//     the nodes due in each round, so the pass visits only those;
+//     other adversaries are asked about every live faulty node. When no
+//     crash can fire this round (no node due, a CrashPlanner window, or
+//     no live faulty node left), this pass is skipped entirely and the
 //     delivery, step, and send stages fuse into ONE worker dispatch —
 //     one barrier per round instead of three.
 //   - Send (sender shards, worker pool): validation, accounting into
@@ -34,10 +37,11 @@ package netsim
 //     while shards are still draining the previous one.
 //   - Merge (coordination thread, ascending node order): per-worker
 //     counters and violations merge, and crash events plus per-sender
-//     lane digests fold into the run digest. Everything order-sensitive
-//     happens here, which is the determinism argument: the run digest
-//     is a pure function of per-sender lanes folded in node order, and
-//     each lane is a pure function of one sender's outbox.
+//     lane digests of the round's active nodes fold into the run
+//     digest. Everything order-sensitive happens here, which is the
+//     determinism argument: the run digest is a pure function of
+//     per-sender lanes folded in node order, and each lane is a pure
+//     function of one sender's outbox.
 //
 // The wiring is the one varying piece: a validated port resolves to its
 // peer by the complete network's arithmetic when Config.Ports is nil, or
@@ -46,10 +50,11 @@ package netsim
 // stages, barriers, folds, and event order — is shared, so a general
 // graph runs on exactly the code path the clique does.
 //
-// All buffers (buckets, inbox arenas, bitsets, lane arrays, crash
-// masks, flat counters) are allocated once per Run — pre-sized from the
-// Config and the interned-kind registry — and recycled, so the
-// steady-state round loop performs no allocations at any n.
+// All buffers (buckets, inbox arenas, bitsets, wake calendars, lane
+// arrays, crash masks, flat counters) are allocated once per Run —
+// pre-sized from the Config and the interned-kind registry — and
+// recycled, so the steady-state round loop performs no allocations at
+// any n.
 
 import (
 	"fmt"
@@ -136,15 +141,27 @@ type pipeline struct {
 	chunk int  // nodes per shard; a power of two, so routing is a shift
 	shift uint // log2(chunk)
 
-	workers  []delivWorker
-	inbox    []shardInbox // one SoA inbox per receiver shard
+	workers []delivWorker
+	inbox   []shardInbox // one SoA inbox per receiver shard
+	active  []activeSet  // one active set per shard (wake.go)
+	// outboxes[u] is what u's Step returned this round, nil when u did
+	// not step; the send stage clears the entries it visits.
 	outboxes [][]Send
-	lane     []uint64 // per-sender lane digest; 0 = no events this round
-	crashing []bool   // per-sender: crashed this round; cleared by merge
-	faulty   []bool   // adversary's static faulty set, cached once per Run
-	keep     [][]bool // crash-round delivery masks, indexed by sender
-	tevs     [][]tev  // per-sender trace-event buffers; nil when untraced
+	lane     []uint64  // per-sender lane digest; 0 = no events this round
+	crashing []bool    // per-sender: crashed this round; cleared by merge
+	keep     [][]bool  // crash-round delivery masks, indexed by sender
+	tevs     [][]tev   // per-sender trace-event buffers; nil when untraced
+	sleep    []Sleeper // per-node Sleeper, nil entries for the rest; nil when no machine sleeps
 	pool     *shardPool
+
+	// The crash pass's worklist, built once per Run from the adversary's
+	// static faulty set (Engine.Run): due holds a CrashCalendar's
+	// entries sorted by (round, node), consumed from dueNext on; faulty
+	// lists every faulty node in ascending order for any other
+	// adversary.
+	due     []crashDue
+	dueNext int
+	faulty  []int32
 
 	// Per-dispatch inputs, set on the coordination thread before the
 	// pass barrier releases the workers.
@@ -193,10 +210,10 @@ func newPipeline(e *Engine, w int) *pipeline {
 		shift:    shift,
 		workers:  make([]delivWorker, w),
 		inbox:    make([]shardInbox, w),
+		active:   make([]activeSet, w),
 		outboxes: make([][]Send, n),
 		lane:     make([]uint64, n),
 		crashing: make([]bool, n),
-		faulty:   make([]bool, n),
 		keep:     make([][]bool, n),
 	}
 	maxPort := n - 1
@@ -213,15 +230,49 @@ func newPipeline(e *Engine, w int) *pipeline {
 	}
 	for s := range p.inbox {
 		lo := s * chunk
-		p.inbox[s] = newShardInbox(lo, min(lo+chunk, n))
+		hi := min(lo+chunk, n)
+		p.inbox[s] = newShardInbox(lo, hi)
+		p.active[s] = newActiveSet(hi - lo)
 	}
 	if e.cfg.Tracer != nil {
 		p.tevs = make([][]tev, n)
 	}
+	p.findSleepers()
 	if w > 1 {
 		p.pool = newShardPool(w)
 	}
 	return p
+}
+
+// findSleepers records the machines that implement Sleeper and gives
+// each shard its standing non-sleepers and a wake calendar. When no
+// machine sleeps it allocates nothing, and every node stays active in
+// every round.
+func (p *pipeline) findSleepers() {
+	e := p.e
+	for u, m := range e.machines {
+		if sl, ok := m.(Sleeper); ok {
+			if p.sleep == nil {
+				p.sleep = make([]Sleeper, len(e.machines))
+			}
+			p.sleep[u] = sl
+		}
+	}
+	if p.sleep == nil {
+		return
+	}
+	for s := range p.active {
+		a := &p.active[s]
+		lo := s * p.chunk
+		size := min(lo+p.chunk, e.cfg.N) - lo
+		a.always = make([]uint64, len(a.step))
+		for l := 0; l < size; l++ {
+			if p.sleep[lo+l] == nil {
+				mark(a.always, l)
+			}
+		}
+		a.wake = newWakeCalendar(size, e.cfg.MaxRounds)
+	}
 }
 
 func (p *pipeline) close() {
@@ -255,36 +306,73 @@ func (p *pipeline) senders(round int) {
 // crashPass consults the adversary for this round's crash decisions, on
 // the coordination thread in ascending node order — the exact call
 // sequence stateful adversaries observed under the original sequential
-// engine. It returns the number of nodes that crashed.
+// engine. A CrashCalendar's due nodes are visited, or else every live
+// faulty node (one of the two worklists is empty). It returns the
+// number of nodes that crashed.
 func (p *pipeline) crashPass(round int) int {
-	e := p.e
-	n := e.cfg.N
 	crashes := 0
-	for u := 0; u < n; u++ {
-		outbox := p.outboxes[u]
-		if outbox == nil {
-			continue // crashed in an earlier round
-		}
-		if e.crashedAt[u] == 0 && p.faulty[u] && e.adv.CrashNow(u, round, outbox) {
-			p.crashing[u] = true
-			e.crashedAt[u] = round
+	for ; p.dueAt(round); p.dueNext++ {
+		if p.crash(p.due[p.dueNext].node, round) {
 			crashes++
-			mask := p.keep[u]
-			if cap(mask) < len(outbox) {
-				mask = make([]bool, len(outbox))
-			} else {
-				mask = mask[:len(outbox)]
-			}
-			deg := e.cfg.degree(u)
-			for i, s := range outbox {
-				// Out-of-range ports never reach the adversary, matching
-				// the original engine's call set.
-				mask[i] = s.Port >= 1 && s.Port <= deg && e.adv.DeliverOnCrash(u, round, i, s)
-			}
-			p.keep[u] = mask
+		}
+	}
+	for _, u := range p.faulty {
+		if p.crash(int(u), round) {
+			crashes++
 		}
 	}
 	return crashes
+}
+
+// crashDue is one crash calendar entry: node is due to crash in round.
+type crashDue struct{ round, node int }
+
+// dueAt reports whether the crash calendar names a node in round.
+func (p *pipeline) dueAt(round int) bool {
+	return p.dueNext < len(p.due) && p.due[p.dueNext].round == round
+}
+
+// crash asks the adversary whether live faulty node u crashes this
+// round and, if it does, records the crash and its delivery mask.
+func (p *pipeline) crash(u, round int) bool {
+	e := p.e
+	if e.crashedAt[u] != 0 {
+		return false
+	}
+	outbox := p.outboxes[u]
+	if outbox == nil {
+		outbox = emptyOutbox // asleep: its skipped Step would have sent nothing
+	}
+	if !e.adv.CrashNow(u, round, outbox) {
+		return false
+	}
+	p.crashing[u] = true
+	e.crashedAt[u] = round
+	mask := p.keep[u]
+	if cap(mask) < len(outbox) {
+		mask = make([]bool, len(outbox))
+	} else {
+		mask = mask[:len(outbox)]
+	}
+	deg := e.cfg.degree(u)
+	for i, s := range outbox {
+		// Out-of-range ports never reach the adversary, matching the
+		// original engine's call set.
+		mask[i] = s.Port >= 1 && s.Port <= deg && e.adv.DeliverOnCrash(u, round, i, s)
+	}
+	p.keep[u] = mask
+	// The crashing node joins the round's active set, so the send pass
+	// and the merge visit it even if it slept, and leaves the standing
+	// non-sleepers and the wake calendar for good.
+	s := u >> p.shift
+	l := u - s*p.chunk
+	a := &p.active[s]
+	mark(a.step, l)
+	if p.sleep != nil {
+		unmark(a.always, l)
+		a.wake.set(l, 0)
+	}
+	return true
 }
 
 // merge is the deterministic round barrier on the coordination thread:
@@ -296,7 +384,6 @@ func (p *pipeline) crashPass(round int) int {
 // sender had messages in flight this round.
 func (p *pipeline) merge(round int) (bool, error) {
 	e := p.e
-	n := e.cfg.N
 	for i := range p.workers {
 		if err := p.workers[i].err; err != nil {
 			return false, err
@@ -320,45 +407,60 @@ func (p *pipeline) merge(round int) (bool, error) {
 		}
 	}
 	tracer := e.cfg.Tracer
-	for u := 0; u < n; u++ {
-		if p.crashing[u] {
-			e.digest.words(digestCrash, uint64(u), uint64(round))
-		}
-		if h := p.lane[u]; h != 0 {
-			e.digest.word(digestLane | uint64(u)<<8)
-			e.digest.word(h)
-			p.lane[u] = 0
-		}
-		if tracer != nil {
-			// Emit the node's buffered events in the digest fold order:
-			// crash first, then messages/violations in outbox order, then
-			// annotations. This sweep is the determinism argument for
-			// traces: event order is a pure function of per-sender buffers
-			// visited in ascending node order, independent of worker count.
-			if p.crashing[u] {
-				tracer.TraceCrash(u, round)
-			}
-			buf := p.tevs[u]
-			for i := range buf {
-				ev := &buf[i]
-				if ev.op == tevViolation {
-					tracer.TraceViolation(u, round, ev.reason)
-				} else {
-					tracer.TraceMessage(u, round, int(ev.port), ev.kind, int(ev.bits), ev.op == tevDrop)
-				}
-				ev.reason = "" // release, the buffer recycles
-			}
-			p.tevs[u] = buf[:0]
-			if env := e.envs[u]; len(env.annot) > 0 {
-				for _, a := range env.annot {
-					tracer.TraceAnnotation(u, round, a)
-				}
-				env.annot = env.annot[:0]
+	for s := range p.active {
+		lo := s * p.chunk
+		step := p.active[s].step
+		for i, w := range step {
+			step[i] = 0
+			for ; w != 0; w &= w - 1 {
+				p.mergeNode(lo+lowest(i, w), round, tracer)
 			}
 		}
-		p.crashing[u] = false
 	}
 	return inFlight, nil
+}
+
+// mergeNode folds one active node's round into the run: its crash event
+// and sender lane into the digest, and its buffered events into the
+// tracer.
+func (p *pipeline) mergeNode(u, round int, tracer Tracer) {
+	e := p.e
+	if p.crashing[u] {
+		e.digest.words(digestCrash, uint64(u), uint64(round))
+	}
+	if h := p.lane[u]; h != 0 {
+		e.digest.word(digestLane | uint64(u)<<8)
+		e.digest.word(h)
+		p.lane[u] = 0
+	}
+	if tracer != nil {
+		// Emit the node's buffered events in the digest fold order:
+		// crash first, then messages/violations in outbox order, then
+		// annotations. This sweep is the determinism argument for
+		// traces: event order is a pure function of per-sender buffers
+		// visited in ascending node order, independent of worker count.
+		if p.crashing[u] {
+			tracer.TraceCrash(u, round)
+		}
+		buf := p.tevs[u]
+		for i := range buf {
+			ev := &buf[i]
+			if ev.op == tevViolation {
+				tracer.TraceViolation(u, round, ev.reason)
+			} else {
+				tracer.TraceMessage(u, round, int(ev.port), ev.kind, int(ev.bits), ev.op == tevDrop)
+			}
+			ev.reason = "" // release, the buffer recycles
+		}
+		p.tevs[u] = buf[:0]
+		if env := e.envs[u]; len(env.annot) > 0 {
+			for _, a := range env.annot {
+				tracer.TraceAnnotation(u, round, a)
+			}
+			env.annot = env.annot[:0]
+		}
+	}
+	p.crashing[u] = false
 }
 
 // dispatch runs one pass across every shard and waits for the barrier.
@@ -373,89 +475,129 @@ func (p *pipeline) dispatch(pass passID) {
 
 func (p *pipeline) runShard(shard int, pass passID) {
 	lo := shard * p.chunk
-	hi := min(lo+p.chunk, p.e.cfg.N)
 	switch pass {
 	case passFused:
+		p.activate(shard, lo)
 		p.buildInbox(shard)
-		p.stepShard(shard, lo, hi)
-		p.sendShard(shard, lo, hi)
+		p.stepShard(shard, lo)
+		p.sendShard(shard, lo)
 	case passDeliverStep:
+		p.activate(shard, lo)
 		p.buildInbox(shard)
-		p.stepShard(shard, lo, hi)
+		p.stepShard(shard, lo)
 	case passSenders:
-		p.sendShard(shard, lo, hi)
+		p.sendShard(shard, lo)
 	}
+}
+
+// activate starts shard s's active set for the round, before the inbox
+// build adds the receivers: every node in round 1 and whenever no
+// machine sleeps, otherwise the non-sleepers and the wake-ups due now.
+func (p *pipeline) activate(s, lo int) {
+	a := &p.active[s]
+	if p.sleep == nil || p.round == 1 {
+		fill(a.step, min(lo+p.chunk, p.e.cfg.N)-lo)
+		return
+	}
+	for i, w := range a.always {
+		a.step[i] |= w
+	}
+	a.wake.drain(p.round, a.step)
 }
 
 // buildInbox assembles receiver shard s's SoA inbox for the current
 // round from the previous round's routing buckets: a stable two-pass
-// counting sort by receiver. Sender shards are visited in ascending
-// order and each bucket holds deliveries in ascending (sender, outbox
-// index) order, so every inbox receives exactly the delivery order the
-// per-node slices used to accumulate — independent of worker count.
+// counting sort by receiver, which also adds every receiver to the
+// round's active set. Offsets are assigned only to active nodes. Sender
+// shards are visited in ascending order and each bucket holds
+// deliveries in ascending (sender, outbox index) order, so every inbox
+// receives exactly the delivery order the per-node slices used to
+// accumulate — independent of worker count.
 func (p *pipeline) buildInbox(s int) {
 	ib := &p.inbox[s]
+	step := p.active[s].step
 	prev := p.gen ^ 1
 	total := 0
 	for b := range p.workers {
 		total += len(p.workers[b].buckets[prev][s])
 	}
-	if total == 0 && !ib.dirty {
-		return // offsets are already all zero: every inbox slice is empty
+	if total == 0 {
+		return // offsets are zero between rounds: every inbox slice is empty
 	}
-	cur := ib.cur
-	for i := range cur {
-		cur[i] = 0
-	}
+	cur, off, lo := ib.cur, ib.off, int32(ib.lo)
 	for b := range p.workers {
 		for _, r := range p.workers[b].buckets[prev][s] {
-			cur[r.to-int32(ib.lo)]++
+			l := r.to - lo
+			cur[l]++
+			mark(step, int(l))
 		}
 	}
-	off := ib.off
 	var sum int32
-	for i, c := range cur {
-		off[i] = sum
-		cur[i] = sum
-		sum += c
+	for i, w := range step {
+		for ; w != 0; w &= w - 1 {
+			l := lowest(i, w)
+			c := cur[l]
+			off[l], cur[l] = sum, sum
+			sum += c
+		}
 	}
-	off[len(ib.cur)] = sum
 	ib.buf = growDeliveries(ib.buf, total)
 	for b := range p.workers {
 		bucket := p.workers[b].buckets[prev][s]
 		for _, r := range bucket {
-			l := r.to - int32(ib.lo)
+			l := r.to - lo
 			ib.buf[cur[l]] = r.d
 			cur[l]++
 		}
 		p.workers[b].buckets[prev][s] = bucket[:0]
 	}
-	ib.dirty = total > 0
 }
 
-// stepShard steps every live machine in [lo, hi) against the freshly
-// built inbox slices and records the outboxes.
-func (p *pipeline) stepShard(shard, lo, hi int) {
-	wk := &p.workers[shard]
-	ib := &p.inbox[shard]
-	for u := lo; u < hi; u++ {
-		out := p.e.stepOne(u, p.round, ib.slice(u))
-		p.outboxes[u] = out
-		if len(out) > 0 {
-			wk.inFlight = true
+// stepShard steps the shard's active nodes against the freshly built
+// inbox slices, records the outboxes, and asks each stepped Sleeper for
+// its next wake-up.
+func (p *pipeline) stepShard(s, lo int) {
+	wk := &p.workers[s]
+	ib := &p.inbox[s]
+	a := &p.active[s]
+	round := p.round
+	for i, w := range a.step {
+		for ; w != 0; w &= w - 1 {
+			u := lo + lowest(i, w)
+			out := p.e.stepOne(u, round, ib.slice(u))
+			ib.reset(u)
+			p.outboxes[u] = out
+			if len(out) > 0 {
+				wk.inFlight = true
+			}
+			if p.sleep != nil && out != nil {
+				if sl := p.sleep[u]; sl != nil {
+					wake := sl.NextWake(round)
+					if wake <= round || wake > p.e.cfg.MaxRounds {
+						wake = 0
+					}
+					a.wake.set(u-lo, wake)
+				}
+			}
 		}
 	}
 }
 
-// sendShard processes every sender in [lo, hi) with a nonempty outbox.
-func (p *pipeline) sendShard(shard, lo, hi int) {
-	wk := &p.workers[shard]
-	for u := lo; u < hi; u++ {
-		if outbox := p.outboxes[u]; len(outbox) > 0 {
-			p.processSender(wk, u, outbox)
-			if wk.err != nil {
-				return
+// sendShard processes every active sender of the shard with a nonempty
+// outbox. It is the round's last reader of the outboxes, so it clears
+// them: a node that sleeps next round then shows the crash pass none.
+func (p *pipeline) sendShard(s, lo int) {
+	wk := &p.workers[s]
+	for i, w := range p.active[s].step {
+		for ; w != 0; w &= w - 1 {
+			u := lo + lowest(i, w)
+			if outbox := p.outboxes[u]; len(outbox) > 0 {
+				p.processSender(wk, u, outbox)
+				if wk.err != nil {
+					return
+				}
 			}
+			p.outboxes[u] = nil
 		}
 	}
 }

@@ -66,7 +66,8 @@ func assertRunsEqual(t *testing.T, seq, real *dst.Run) {
 // TestConformanceDSTSystems runs every registered clique system over
 // loopback sockets through its System.Run hook (the entry point dst
 // campaigns and mc universes use) and asserts byte-identical runs
-// against the sequential engine, under every drop policy.
+// against the sequential engine, under every drop policy. The paper's
+// protocols also run at n = 64 with crashes over the whole run.
 func TestConformanceDSTSystems(t *testing.T) {
 	for _, name := range dst.AllSystems() {
 		sys, _ := dst.Lookup(name)
@@ -107,6 +108,52 @@ func TestConformanceDSTSystems(t *testing.T) {
 				})
 			}
 		}
+		if sys.DefaultAlpha != nil {
+			coreCrashesOverTheRun(t, sys)
+		}
+	}
+}
+
+// coreCrashesOverTheRun adds one of the paper's protocols at n = 64 with
+// crashes spread over the whole run, not just its first rounds, under
+// every drop policy. The socket lane steps every node in every round,
+// while the simulator lets idle nodes sleep (netsim.Sleeper) and visits
+// only the due crashes, so the two agreeing checks the wake rule and
+// the crash calendar against a dense execution.
+func coreCrashesOverTheRun(t *testing.T, sys *dst.System) {
+	const n, seed = 64, 3
+	alpha := sys.ResolveAlpha(n, 0)
+	f := min(8, sys.MaxF(n, alpha))
+	// Only the run's length is read here, so any inputs do.
+	cfg, _, err := sys.Build(dst.Setup{N: n, Alpha: alpha, Seed: seed, F: sys.MaxF(n, alpha),
+		Bits: make([]int, n), Values: make([]uint64, n)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pol := range policies {
+		t.Run(fmt.Sprintf("%s/n%d/spread/%s", sys.Name, n, pol.name), func(t *testing.T) {
+			t.Parallel()
+			s := fault.Schedule{N: n, Seed: seed}
+			for i := 0; i < f; i++ {
+				// Crash i lands i/f of the way through the run; the last
+				// two share a round.
+				s.Crashes = append(s.Crashes, fault.Crash{
+					Node:   (i*11 + 2) % n,
+					Round:  1 + min(i, f-2)*cfg.MaxRounds/f,
+					Policy: pol.policy,
+				})
+			}
+			c := dst.Case{System: sys.Name, N: n, Alpha: alpha, Seed: seed, Schedule: s.Canonical()}
+			seq, err := sys.Run(c, netsim.Sequential, nil)
+			if err != nil {
+				t.Fatalf("sequential: %v", err)
+			}
+			real, err := sys.Run(c, netsim.RealNet, nil)
+			if err != nil {
+				t.Fatalf("realnet: %v", err)
+			}
+			assertRunsEqual(t, seq, real)
+		})
 	}
 }
 

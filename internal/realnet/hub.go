@@ -183,8 +183,8 @@ func (r *remote) retire(crashedAt int) any {
 // live node in every round. It crashes a node whose connection died in
 // this round's Step; that node's outbox is empty, so no DeliverOnCrash
 // follows. Every other call goes to the run's adversary, for the nodes
-// it calls faulty. It is not a CrashPlanner, since a loss can come in
-// any round.
+// it calls faulty. It is neither a CrashPlanner nor a CrashCalendar,
+// since a loss can come in any round.
 type lossAdversary struct {
 	adv    netsim.Adversary
 	faulty []bool // adv's static faulty set
