@@ -145,7 +145,8 @@ type pipeline struct {
 	inbox   []shardInbox // one SoA inbox per receiver shard
 	active  []activeSet  // one active set per shard (wake.go)
 	// outboxes[u] is what u's Step returned this round, nil when u did
-	// not step; the send stage clears the entries it visits.
+	// not step; when some machine sleeps, the send stage clears the
+	// entries it visits.
 	outboxes [][]Send
 	lane     []uint64  // per-sender lane digest; 0 = no events this round
 	crashing []bool    // per-sender: crashed this round; cleared by merge
@@ -584,8 +585,14 @@ func (p *pipeline) stepShard(s, lo int) {
 }
 
 // sendShard processes every active sender of the shard with a nonempty
-// outbox. It is the round's last reader of the outboxes, so it clears
-// them: a node that sleeps next round then shows the crash pass none.
+// outbox. When some machine sleeps, it is the round's last reader of the
+// outboxes and clears them, so a node that sleeps next round shows the
+// crash pass none. Without sleepers every live node steps again next
+// round and overwrites its entry, so the entries stay until then, as
+// they did before rounds became sparse: clearing them lowers the live
+// heap that paces the collector, and in back-to-back dense runs
+// (perfbench table1-dense) that moved collections into the run that
+// follows a message-heavy one.
 func (p *pipeline) sendShard(s, lo int) {
 	wk := &p.workers[s]
 	for i, w := range p.active[s].step {
@@ -597,7 +604,9 @@ func (p *pipeline) sendShard(s, lo int) {
 					return
 				}
 			}
-			p.outboxes[u] = nil
+			if p.sleep != nil {
+				p.outboxes[u] = nil
+			}
 		}
 	}
 }
