@@ -588,11 +588,10 @@ func (p *pipeline) stepShard(s, lo int) {
 // outbox. When some machine sleeps, it is the round's last reader of the
 // outboxes and clears them, so a node that sleeps next round shows the
 // crash pass none. Without sleepers every live node steps again next
-// round and overwrites its entry, so the entries stay until then, as
-// they did before rounds became sparse: clearing them lowers the live
-// heap that paces the collector, and in back-to-back dense runs
-// (perfbench table1-dense) that moved collections into the run that
-// follows a message-heavy one.
+// round and overwrites its entry, so the entries stay until then:
+// clearing them lowers the live heap that paces the collector, and in
+// back-to-back dense runs (perfbench table1-dense) that moved
+// collections into the run that follows a message-heavy one.
 func (p *pipeline) sendShard(s, lo int) {
 	wk := &p.workers[s]
 	for i, w := range p.active[s].step {
